@@ -111,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--hosts", nargs="+", default=None, metavar="HOST:PORT",
                        help="remote worker hosts for the 'remote' backend, "
                             "one slave per entry (implies --backend remote)")
-    p_run.add_argument("--steal-mode", default="master",
-                       choices=["master", "shm"],
-                       help="chunk-queue substrate of the process farms: "
-                            "'master' routes every refill through the master, "
-                            "'shm' lets slaves self-serve and steal through "
-                            "shared-memory deques (default: master)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--connect", default=None, metavar="HOST:PORT",
                        help="submit the run to a running 'repro serve' daemon "
@@ -194,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--hosts", nargs="+", default=None, metavar="HOST:PORT",
                         help="remote worker hosts for the 'remote' backend, "
                              "one slave per entry (requires --backend remote)")
-    p_scan.add_argument("--steal-mode", default="master",
-                        choices=["master", "shm"],
-                        help="chunk-queue substrate of the process farms: "
-                             "'master' routes every refill through the "
-                             "master, 'shm' lets slaves self-serve and steal "
-                             "through shared-memory deques (default: master)")
     p_scan.add_argument("--cost-model", default=None, metavar="PATH",
                         help="JSON file with a calibrated evaluation-cost "
                              "model ({\"base_seconds\": ..., "
@@ -314,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the substrate on the 2-bit packed panel")
     p_serve.add_argument("--hosts", nargs="+", default=None, metavar="HOST:PORT",
                          help="remote worker hosts for the 'remote' backend")
-    p_serve.add_argument("--steal-mode", default="master",
-                         choices=["master", "shm"],
-                         help="chunk-queue substrate of the process farms")
     p_serve.add_argument("--cost-model", default=None, metavar="PATH",
                          help="calibrated evaluation-cost model JSON; prices "
                               "requests for admission and drives "
@@ -509,7 +494,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             packed=args.packed,
             hosts=tuple(args.hosts) if args.hosts else None,
-            steal_mode=args.steal_mode,
         )
     )
     result = run.result
@@ -595,13 +579,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"scan --hosts requires --backend remote, not {args.backend!r}",
               file=sys.stderr)
         return 2
-    if args.steal_mode != "master" and args.backend in ("serial", "threads", "remote"):
-        print(
-            f"scan --steal-mode shm needs a local process-farm backend "
-            f"(process, process-shm, async), not {args.backend!r}",
-            file=sys.stderr,
-        )
-        return 2
     error = _panel_flags_error("scan", args)
     if error is not None:
         print(error, file=sys.stderr)
@@ -639,7 +616,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         resume=args.resume,
         packed=packed,
         hosts=tuple(args.hosts) if args.hosts else None,
-        steal_mode=args.steal_mode,
     )
     print(report.format(top=args.top))
     print()
@@ -890,7 +866,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cost_model=_load_cost_model(args.cost_model),
         packed=packed,
         hosts=tuple(args.hosts) if args.hosts else None,
-        steal_mode=args.steal_mode,
         **({} if args.cache_bytes is None else {"cache_bytes": args.cache_bytes}),
         admission=policy,
         journal_dir=args.journal_dir,

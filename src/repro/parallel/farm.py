@@ -26,14 +26,10 @@ engine itself is asynchronous:
   from the *longest* other queue (work stealing on behalf of the idle slave —
   the master is the only party with global queue knowledge, exactly as in the
   paper's master/slave organisation), so one slow slave or one expensive
-  chunk no longer stalls the whole generation;
-* with ``steal_mode="shm"`` the per-slave queues move into a shared-memory
-  deque region (:mod:`repro.parallel.shm_deques`): the master *seeds* rings
-  of encoded chunks and idle slaves refill themselves — popping their own
-  ring in affinity order, stealing from the tail of the longest other ring —
-  without any master round trip per chunk; the master only harvests
-  completions over the per-slave result pipes.  Results, counters and the
-  recovery contract are identical to master-mediated dispatch.
+  chunk no longer stalls the whole generation.
+
+The chunk queues live in exactly one place — the master — as in the paper's
+PVM farm, where the master owns the work and the slaves only evaluate.
 
 The synchronous entry point :meth:`~ChunkedWorkerFarm.evaluate` is
 ``collect(submit(batch))`` and, with ``steal=False`` (the default), dispatches
@@ -54,7 +50,6 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from queue import Empty
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .base import (
@@ -65,7 +60,6 @@ from .base import (
     validate_worker_count,
 )
 from .pvm import EvaluationCostModel
-from .shm_deques import SharedChunkDeques, SharedDequeHandle, encoded_chunk_ints
 
 __all__ = [
     "ChunkStats",
@@ -111,10 +105,10 @@ class FarmRecoveryPolicy:
       of ``chunk_timeout + timeout_cost_factor * modelled_cost(chunk)``
       seconds (scaled by the farm's cost model, so a legitimately expensive
       large-haplotype chunk is not mistaken for a hang); a slave whose chunk
-      is overdue is treated as dead — terminated, its work replayed.  The
-      deadline clock starts at dispatch, so prefer steal mode (bounded
-      in-flight chunks) over the all-upfront synchronous dispatch when using
-      timeouts.
+      is overdue is treated as dead — terminated, its work replayed.  It
+      applies to every local farm (and to remote pools).  The deadline clock
+      starts at dispatch, so prefer steal mode (bounded in-flight chunks)
+      over the all-upfront synchronous dispatch when using timeouts.
     """
 
     respawn: bool = False
@@ -233,9 +227,9 @@ def _build_local_evaluator(
 def _evaluate_chunk(local, task_id: int, worker_id: int, chunk) -> tuple:
     """Evaluate one chunk on a slave's local evaluator; build the reply message.
 
-    Shared by every slave loop (inbox-fed, shared-memory deque, remote
-    socket) so the protocol — values + per-chunk stats, or the traceback of
-    an in-band error — is identical on every transport.
+    Shared by every slave loop (inbox-fed process, remote socket) so the
+    protocol — values + per-chunk stats, or the traceback of an in-band
+    error — is identical on every transport.
     """
     try:
         before = local.stats.copy()
@@ -283,56 +277,6 @@ def _farm_worker_main(
             outbox.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - master gone
             return
-
-
-#: shm-deque slaves poll their inbox at this cadence while every ring is
-#: empty (the only time they touch the inbox at all: chunks come from the
-#: rings, the inbox carries just the stop sentinel)
-_SHM_IDLE_POLL_SECONDS = 0.01
-
-
-def _farm_worker_shm_main(
-    worker_id: int,
-    factory: EvaluatorFactory,
-    worker_cache_size: int | None,
-    inbox,
-    outbox,
-    deque_handle: SharedDequeHandle,
-    steal: bool,
-) -> None:
-    """Self-serving slave loop over the shared-memory deques.
-
-    The slave takes its next chunk straight from the shared rings — its own
-    ring first (affinity/FIFO order), the tail of the longest other ring when
-    idle and ``steal`` is on — so between chunks there is no master round
-    trip at all.  The claimed cell is set by ``take`` and cleared only
-    *after* the result was sent: a crash at any point in between leaves the
-    master an exact record of what to replay.
-    """
-    local = _build_local_evaluator(worker_id, factory, worker_cache_size, outbox)
-    if local is None:  # pragma: no cover - exercised via the startup-error test
-        return
-    deques = deque_handle.attach()
-    try:
-        while True:
-            taken = deques.take(worker_id, steal=steal)
-            if taken is None:
-                try:
-                    message = inbox.get(timeout=_SHM_IDLE_POLL_SECONDS)
-                except Empty:
-                    continue
-                if message is None:
-                    break
-                continue  # anything else is a wake nudge: re-check the rings
-            task_id, chunk = taken
-            reply = _evaluate_chunk(local, task_id, worker_id, chunk)
-            try:
-                outbox.send(reply)
-            except (BrokenPipeError, OSError):  # pragma: no cover - master gone
-                return
-            deques.clear_claimed(worker_id)
-    finally:
-        deques.detach()
 
 
 class _Ticket:
@@ -414,27 +358,9 @@ class ChunkedWorkerFarm:
         chunks; an idle slave is refilled from the longest other affinity
         queue.  Fitness values are identical either way (they depend only on
         the haplotype), only which slave's caches serve a re-request changes.
-    steal_mode:
-        ``"master"`` (default) keeps the chunk queues master-side: idle
-        slaves are refilled — and steal — through the master's dispatch
-        engine, one round trip per chunk.  ``"shm"`` moves the queues into a
-        shared-memory deque region (:mod:`repro.parallel.shm_deques`): the
-        master seeds rings of encoded chunks and slaves self-serve, popping
-        their own ring and (with ``steal=True``) stealing from the tail of
-        the longest other ring, with no master round trip between chunks.
-        Results and counters are identical in both modes; ``"shm"`` rejects
-        a recovery ``chunk_timeout`` (a chunk may legitimately sit unclaimed
-        in a ring, so a dispatch-time deadline would misfire).
     max_inflight:
-        Master steal mode only: in-flight chunk bound per slave (default 2 —
-        one computing, one buffered, the rest stealable).  With
-        ``steal_mode="shm"`` the rings *are* the slave-side buffer and every
-        chunk in them is stealable, so no bound is needed.
-    deque_slots, deque_slot_ints:
-        ``steal_mode="shm"`` only: the shared arena's slot count and
-        per-slot payload capacity (int64 words).  Chunks too big for a slot
-        are split; when every slot is in use the master stages the overflow
-        and pushes as results free slots.
+        Steal mode only: in-flight chunk bound per slave (default 2 — one
+        computing, one buffered, the rest stealable in the master's queues).
     recovery:
         Optional :class:`FarmRecoveryPolicy`.  Without one (the default) a
         dead slave raises :class:`FarmDeadError`; with one the farm heals
@@ -451,7 +377,6 @@ class ChunkedWorkerFarm:
     _RESULT_POLL_SECONDS = 0.5
     #: steal mode: auto chunking targets this many stealable chunks per slave
     _STEAL_CHUNKS_PER_WORKER = 4
-    _STEAL_MODES = ("master", "shm")
 
     def __init__(
         self,
@@ -462,12 +387,9 @@ class ChunkedWorkerFarm:
         worker_cache_size: int | None = 4096,
         start_method: str | None = None,
         steal: bool = False,
-        steal_mode: str = "master",
         max_inflight: int = 2,
         cost_model: EvaluationCostModel | None = None,
         recovery: FarmRecoveryPolicy | None = None,
-        deque_slots: int | None = None,
-        deque_slot_ints: int | None = None,
     ) -> None:
         if n_workers is None:
             raise ValueError("n_workers must be a positive integer, got None")
@@ -477,18 +399,7 @@ class ChunkedWorkerFarm:
             raise ValueError(f"max_inflight must be a positive integer, got {max_inflight!r}")
         if recovery is not None and not isinstance(recovery, FarmRecoveryPolicy):
             raise TypeError(f"recovery must be a FarmRecoveryPolicy or None, got {recovery!r}")
-        if steal_mode not in self._STEAL_MODES:
-            raise ValueError(
-                f"steal_mode must be one of {self._STEAL_MODES}, got {steal_mode!r}"
-            )
-        if steal_mode == "shm" and recovery is not None and recovery.chunk_timeout is not None:
-            raise ValueError(
-                "chunk_timeout is incompatible with steal_mode='shm': a chunk "
-                "may sit unclaimed in a shared ring for arbitrarily long, so a "
-                "dispatch-time deadline would reap healthy slaves"
-            )
-        context = default_mp_context(start_method)
-        self._context = context
+        self._context = default_mp_context(start_method)
         self._factory = factory
         self._worker_cache_size = worker_cache_size
         self._recovery = recovery
@@ -496,7 +407,6 @@ class ChunkedWorkerFarm:
         self._chunk_size = chunk_size
         self._cost_model = cost_model if cost_model is not None else EvaluationCostModel()
         self._steal = bool(steal)
-        self._steal_mode = steal_mode
         self._max_inflight = max_inflight
         self._inboxes = []
         self._result_conns: list = []
@@ -532,27 +442,11 @@ class ChunkedWorkerFarm:
         self._n_chunks_replayed = 0
         self._n_worker_respawns = 0
         self._dead_error: FarmDeadError | None = None
-        # shm steal mode: the shared deque region plus the master-side slot
-        # bookkeeping (task id -> arena slot, freed when its result lands)
-        self._deques: SharedChunkDeques | None = None
-        self._slot_of_task: dict[int, int] = {}
-        if steal_mode == "shm":
-            deque_kwargs = {}
-            if deque_slots is not None:
-                deque_kwargs["n_slots"] = deque_slots
-            if deque_slot_ints is not None:
-                deque_kwargs["slot_ints"] = deque_slot_ints
-            self._deques = SharedChunkDeques(n_workers, context=context, **deque_kwargs)
-        try:
-            for worker_id in range(n_workers):
-                self._inboxes.append(None)
-                self._result_conns.append(None)
-                self._processes.append(None)
-                self._spawn_worker(worker_id)
-        except BaseException:
-            if self._deques is not None:
-                self._deques.close()
-            raise
+        for worker_id in range(n_workers):
+            self._inboxes.append(None)
+            self._result_conns.append(None)
+            self._processes.append(None)
+            self._spawn_worker(worker_id)
 
     def _spawn_worker(self, worker_id: int) -> None:
         """(Re)start the slave in slot ``worker_id`` with a fresh inbox/pipe.
@@ -565,14 +459,9 @@ class ChunkedWorkerFarm:
         """
         inbox = self._context.Queue()
         recv_conn, send_conn = self._context.Pipe(duplex=False)
-        if self._deques is not None:
-            target, extra = _farm_worker_shm_main, (self._deques.handle(), self._steal)
-        else:
-            target, extra = _farm_worker_main, ()
         process = self._context.Process(
-            target=target,
-            args=(worker_id, self._factory, self._worker_cache_size, inbox, send_conn)
-            + extra,
+            target=_farm_worker_main,
+            args=(worker_id, self._factory, self._worker_cache_size, inbox, send_conn),
             daemon=True,
         )
         process.start()
@@ -625,11 +514,6 @@ class ChunkedWorkerFarm:
     def steal(self) -> bool:
         return self._steal
 
-    @property
-    def steal_mode(self) -> str:
-        """Where the chunk queues live: ``"master"`` or ``"shm"``."""
-        return self._steal_mode
-
     def _chunk_cost_target(self, batch: Sequence[tuple[int, ...]]) -> float:
         """Per-chunk cost budget for one batch under the farm's cost model.
 
@@ -658,25 +542,6 @@ class ChunkedWorkerFarm:
         # pieces of ~equal modelled cost so imbalance has somewhere to go
         costs = [self._cost_model.cost(len(batch[i])) for i in indices]
         return cost_balanced_chunks(indices, costs, cost_target or 0.0)
-
-    def _split_for_slots(
-        self, indices: list[int], batch: Sequence[tuple[int, ...]]
-    ) -> list[list[int]]:
-        """Split a chunk whose encoding would overflow one shm ring slot."""
-        limit = self._deques.slot_ints
-        parts: list[list[int]] = []
-        current: list[int] = []
-        used = 2  # header: task_id + n_keys
-        for index in indices:
-            need = 1 + len(batch[index])
-            if current and used + need > limit:
-                parts.append(current)
-                current, used = [], 2
-            current.append(index)
-            used += need
-        if current:
-            parts.append(current)
-        return parts
 
     # ------------------------------------------------------------------ #
     # the dispatch engine
@@ -713,17 +578,6 @@ class ChunkedWorkerFarm:
         self._inflight[worker] += 1
         self._inflight_tasks[task_id] = _Dispatch(worker, chunk, deadline)
 
-    def _push_shm(self, worker: int, task_id: int, chunk) -> bool:
-        """Seed one chunk into a slave's shared ring; False when the arena is
-        full (the chunk stays staged master-side until results free slots)."""
-        slot = self._deques.push(worker, task_id, chunk)
-        if slot is None:
-            return False
-        self._slot_of_task[task_id] = slot
-        self._inflight[worker] += 1
-        self._inflight_tasks[task_id] = _Dispatch(worker, chunk, None)
-        return True
-
     def _steal_source(self, thief: int) -> int | None:
         """The slave whose affinity queue the idle ``thief`` should steal from."""
         longest, length = None, 0
@@ -737,19 +591,6 @@ class ChunkedWorkerFarm:
 
     def _pump(self) -> None:
         """Dispatch queued chunks within the in-flight bounds (steal when idle)."""
-        if self._deques is not None:
-            # shm mode: seed everything into the rings — the rings are the
-            # slave-side buffer and (with steal on) every entry is stealable,
-            # so there is nothing for a master-side in-flight bound to do
-            for worker, queue in enumerate(self._queues):
-                if not self._alive[worker]:
-                    continue  # drained and rerouted when the death was seen
-                while queue:
-                    task_id, chunk = queue[0]
-                    if not self._push_shm(worker, task_id, chunk):
-                        return  # arena full; retried as results free slots
-                    queue.popleft()
-            return
         if not self._steal:
             # synchronous-farm behaviour: everything goes to its owner upfront
             for worker, queue in enumerate(self._queues):
@@ -787,20 +628,6 @@ class ChunkedWorkerFarm:
             ]
             queue.clear()
             queue.extend(retained)
-        if self._deques is not None:
-            # pull the ticket's not-yet-claimed chunks out of the shared
-            # rings; chunks a slave already claimed finish and come back as
-            # stale results (their slots are freed on receipt)
-            resident = {
-                task_id for task_id in ticket.remaining
-                if task_id in self._slot_of_task
-            }
-            for slot, task_id in self._deques.remove_tasks(resident):
-                self._deques.free_slot(slot)
-                self._slot_of_task.pop(task_id, None)
-                dispatch = self._inflight_tasks.pop(task_id, None)
-                if dispatch is not None and self._inflight[dispatch.worker] > 0:
-                    self._inflight[dispatch.worker] -= 1
         for task_id in list(ticket.remaining):
             self._task_info.pop(task_id, None)
             self._retries.pop(task_id, None)
@@ -886,44 +713,16 @@ class ChunkedWorkerFarm:
         chunks were in the dead slave's hands (retry-charged replays);
         *orphaned* chunks were merely parked on it and are rerouted free.
         """
-        if self._deques is None:
-            lost = [
-                (task_id, dispatch.chunk)
-                for task_id, dispatch in self._inflight_tasks.items()
-                if dispatch.worker == worker
-            ]
-            for task_id, _chunk in lost:
-                del self._inflight_tasks[task_id]
-            self._inflight[worker] = 0
-            orphaned = list(self._queues[worker])
-            self._queues[worker].clear()
-            return lost, orphaned
-        # shm mode: the dead slave's ring (and any claimed-but-unreported
-        # chunk) is the ground truth — `_Dispatch.worker` records which ring a
-        # chunk was pushed to, not who claimed it, so a thief may legitimately
-        # still be working a chunk "belonging" to the dead slave's ring.
+        lost = [
+            (task_id, dispatch.chunk)
+            for task_id, dispatch in self._inflight_tasks.items()
+            if dispatch.worker == worker
+        ]
+        for task_id, _chunk in lost:
+            del self._inflight_tasks[task_id]
+        self._inflight[worker] = 0
         orphaned = list(self._queues[worker])
         self._queues[worker].clear()
-        ring_entries, claimed_task = self._deques.drain_worker(worker)
-        self._inflight[worker] = 0
-        for slot, task_id in ring_entries:
-            self._deques.free_slot(slot)
-            self._slot_of_task.pop(task_id, None)
-            dispatch = self._inflight_tasks.pop(task_id, None)
-            if dispatch is not None:
-                orphaned.append((task_id, dispatch.chunk))
-        lost = []
-        if claimed_task is not None:
-            slot = self._slot_of_task.pop(claimed_task, None)
-            if slot is not None:
-                self._deques.free_slot(slot)
-            dispatch = self._inflight_tasks.pop(claimed_task, None)
-            if dispatch is not None:
-                # died between claiming and reporting: a true in-hand loss
-                # (the claimed chunk may have been stolen from another ring)
-                if self._inflight[dispatch.worker] > 0:
-                    self._inflight[dispatch.worker] -= 1
-                lost.append((claimed_task, dispatch.chunk))
         return lost, orphaned
 
     def _respawn_worker(self, worker: int) -> bool:
@@ -1034,13 +833,6 @@ class ChunkedWorkerFarm:
         if received_id is None:
             raise RuntimeError(f"a worker failed during start-up:\n{error}")
         with self._lock:
-            if self._deques is not None:
-                # free the ring slot even for stale results: the slot was
-                # reserved for exactly this task id, so any report of it —
-                # live or stale — retires the reservation
-                slot = self._slot_of_task.pop(received_id, None)
-                if slot is not None:
-                    self._deques.free_slot(slot)
             # release the slot only for a tracked dispatch: a late result of a
             # chunk already replayed elsewhere must not free anyone's slot
             dispatch = self._inflight_tasks.pop(received_id, None)
@@ -1119,14 +911,7 @@ class ChunkedWorkerFarm:
                 else None
             )
             for worker, indices in sorted(by_worker.items()):
-                chunk_runs = self._chunks_for_worker(indices, batch, cost_target)
-                if self._deques is not None:
-                    chunk_runs = [
-                        part
-                        for run in chunk_runs
-                        for part in self._split_for_slots(run, batch)
-                    ]
-                for chunk_indices in chunk_runs:
+                for chunk_indices in self._chunks_for_worker(indices, batch, cost_target):
                     chunk = [batch[i] for i in chunk_indices]
                     task_id = self._next_task_id
                     self._next_task_id += 1
@@ -1224,15 +1009,12 @@ class ChunkedWorkerFarm:
             return
         self._closed = True
         self._shutdown_transport(force=force, join_timeout=join_timeout)
-        if self._deques is not None:
-            self._deques.close()
         with self._lock:
             for affinity_queue in self._queues:
                 affinity_queue.clear()
             self._inflight_tasks.clear()
             self._task_info.clear()
             self._retries.clear()
-            self._slot_of_task.clear()
 
     def _shutdown_transport(self, *, force: bool, join_timeout: float) -> None:
         """Transport hook: reap slaves and detach their channels."""

@@ -79,7 +79,14 @@ class _CallableFactory:
 
 
 def default_worker_count() -> int:
-    """Default number of slave processes: the machine's CPU count (at least 1)."""
+    """Default number of slave processes: the CPUs this process may run on.
+
+    Uses the scheduler affinity mask where the platform exposes it, so a run
+    under ``taskset`` or a cgroup cpuset does not oversubscribe its CPUs;
+    falls back to the machine's CPU count (at least 1).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return max(os.cpu_count() or 1, 1)
 
 
@@ -97,8 +104,8 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         rebuilds lightweight evaluator views over a shared-memory genotype
         store instead of receiving a pickled copy of the data.
     n_workers:
-        Number of slave processes (default: CPU count).  Must be a positive
-        integer.
+        Number of slave processes (default: :func:`default_worker_count`,
+        the CPUs this process may run on).  Must be a positive integer.
     chunk_size:
         Number of individuals per message.  With ``dispatch="individual"``
         the default is the paper's one-at-a-time protocol (``1``); with
@@ -110,7 +117,8 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         cost-driven auto chunking (default: the paper's Figure-4 calibration).
     dispatch:
         ``"individual"`` (pool, one task per haplotype) or ``"chunked"``
-        (per-slave queues, affinity routing, worker-side batch fast path).
+        (master-side per-slave queues, affinity routing, worker-side batch
+        fast path).
     worker_cache_size:
         Chunked dispatch only: bound of each slave's local fitness LRU.
     steal, max_inflight:
@@ -123,19 +131,12 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         between the two can shift when a re-requested haplotype reaches the
         slaves, since a stolen chunk is served by the thief's cache or
         re-evaluated there instead of hitting its owner's cache.
-    steal_mode:
-        Chunked dispatch only: ``"master"`` (default) keeps chunk queues
-        master-side; ``"shm"`` moves them into the shared-memory deque
-        region, so slaves self-serve refills and steal from each other's
-        ring tails with no master round trip per chunk (see
-        :class:`~repro.parallel.farm.ChunkedWorkerFarm`).  Results and
-        counters are identical in both modes.
     hosts:
         Distributed chunked dispatch: a sequence of ``"host:port"`` worker
         hosts (see :mod:`repro.runtime.remote`).  One slave slot per entry —
         ``n_workers``, if given, must equal ``len(hosts)``.  Slaves run on
         the remote hosts behind authenticated sockets; requires
-        ``dispatch="chunked"`` and ``steal_mode="master"``.
+        ``dispatch="chunked"``.
     recovery:
         Chunked dispatch only: a
         :class:`~repro.parallel.farm.FarmRecoveryPolicy` making the farm
@@ -180,7 +181,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         dispatch: str = "individual",
         worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
         steal: bool = False,
-        steal_mode: str = "master",
         max_inflight: int = 2,
         cost_model: EvaluationCostModel | None = None,
         recovery: FarmRecoveryPolicy | None = None,
@@ -206,11 +206,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
         if hosts is not None:
             if dispatch != "chunked":
                 raise ValueError("hosts requires dispatch='chunked'")
-            if steal_mode != "master":
-                raise ValueError(
-                    "hosts requires steal_mode='master': a shared-memory "
-                    "deque arena cannot span hosts"
-                )
             if n_workers is not None and n_workers != len(hosts):
                 raise ValueError(
                     f"n_workers={n_workers} conflicts with len(hosts)="
@@ -248,7 +243,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
                 worker_cache_size=worker_cache_size,
                 start_method=start_method,
                 steal=steal,
-                steal_mode=steal_mode,
                 max_inflight=max_inflight,
                 cost_model=cost_model,
                 recovery=recovery,
@@ -275,11 +269,6 @@ class MasterSlaveEvaluator(BaseBatchEvaluator):
     def steal(self) -> bool:
         """Whether the chunked farm runs the work-stealing dispatch engine."""
         return self._farm.steal if self._farm is not None else False
-
-    @property
-    def steal_mode(self) -> str:
-        """The chunked farm's queue substrate (``"master"`` or ``"shm"``)."""
-        return self._farm.steal_mode if self._farm is not None else "master"
 
     def recovery_counters(self) -> dict[str, int]:
         """The farm's lifetime recovery counters (all zero without a farm)."""

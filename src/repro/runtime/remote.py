@@ -409,8 +409,6 @@ class RemoteSlavePool(ChunkedWorkerFarm):
 
     * a torn connection is a dead slave (replay onto survivors, optional
       reconnect as the respawn, :class:`FarmDeadError` when none remain);
-    * ``steal_mode`` is fixed at ``"master"`` — a shared-memory arena cannot
-      span hosts;
     * ``recovery.chunk_timeout`` hangs are healed by dropping the connection;
     * a host silent past ``heartbeat_timeout`` (its slave beats every
       :data:`DEFAULT_HEARTBEAT_INTERVAL` seconds, evaluating or idle) is
@@ -466,7 +464,6 @@ class RemoteSlavePool(ChunkedWorkerFarm):
             chunk_size=chunk_size,
             worker_cache_size=worker_cache_size,
             steal=steal,
-            steal_mode="master",
             max_inflight=max_inflight,
             cost_model=cost_model,
             recovery=recovery,

@@ -484,7 +484,6 @@ class ScanServer:
         recovery: FarmRecoveryPolicy | None = None,
         packed: bool = False,
         hosts: Sequence[str] | None = None,
-        steal_mode: str = "master",
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         admission: AdmissionPolicy | None = None,
         authkey: bytes | None = None,
@@ -503,7 +502,6 @@ class ScanServer:
             recovery=recovery,
             packed=packed,
             hosts=hosts,
-            steal_mode=steal_mode,
         )
         self._statistic = self._scheduler.spec.statistic
         # every request is priced, model or not: an uncalibrated default

@@ -138,8 +138,6 @@ class RunRequest:
         ~4× smaller shared-memory panels).
     hosts:
         ``backend="remote"`` only: worker hosts as ``"host:port"`` specs.
-    steal_mode:
-        Chunked process farms' queue substrate (``"master"`` or ``"shm"``).
     """
 
     config: GAConfig | None = None
@@ -157,7 +155,6 @@ class RunRequest:
     constraints: HaplotypeConstraints | None = None
     packed: bool = False
     hosts: tuple[str, ...] | None = None
-    steal_mode: str = "master"
 
     def resolved_spec(self) -> EvaluatorSpec:
         return self.spec if self.spec is not None else EvaluatorSpec(statistic=self.statistic)
@@ -320,10 +317,6 @@ class RunScheduler:
     hosts:
         ``backend="remote"`` only: the worker hosts as ``"host:port"``
         specs, one slave per entry (see :mod:`repro.runtime.remote`).
-    steal_mode:
-        Queue substrate of the chunked process farms: ``"master"`` (default)
-        or ``"shm"`` (shared-memory steal deques — slaves self-serve refills
-        and steal with no master round trip per chunk).
     """
 
     def __init__(
@@ -344,7 +337,6 @@ class RunScheduler:
         worker_wrapper=None,
         packed: bool = False,
         hosts: Sequence[str] | None = None,
-        steal_mode: str = "master",
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
@@ -396,7 +388,6 @@ class RunScheduler:
             worker_wrapper=worker_wrapper,
             packed=packed,
             hosts=hosts,
-            steal_mode=steal_mode,
         )
 
     # ------------------------------------------------------------------ #
@@ -768,7 +759,6 @@ class RunService:
             worker_cache_size=request.worker_cache_size,
             packed=request.packed,
             hosts=request.hosts,
-            steal_mode=request.steal_mode,
         )
         try:
             result = scheduler.run(request)

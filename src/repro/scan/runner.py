@@ -202,7 +202,6 @@ def run_scan(
     resume: bool = False,
     packed: bool = False,
     hosts: Sequence[str] | None = None,
-    steal_mode: str = "master",
     client_timeout: float | None = None,
 ) -> ScanReport:
     """Scan a panel with one GA job per overlapping locus window.
@@ -238,10 +237,9 @@ def run_scan(
     scheduler and is ignored when an existing ``scheduler`` is passed.
 
     ``hosts`` (with ``backend="remote"``) scans against remote worker hosts
-    (``"host:port"`` specs, one slave per entry); ``steal_mode="shm"`` runs
-    the local process farms on the shared-memory steal deques.  Both ride
-    the same scan-owned-scheduler rule as ``recovery``/``packed``, and the
-    report stays bit-identical — per-window results are pure functions of
+    (``"host:port"`` specs, one slave per entry).  It rides the same
+    scan-owned-scheduler rule as ``recovery``/``packed``, and the report
+    stays bit-identical — per-window results are pure functions of
     their seeds.  A persisted, calibrated ``cost_model``
     (:meth:`~repro.parallel.pvm.EvaluationCostModel.from_json`) both
     prioritises window jobs and drives the farm's cost-balanced chunking.
@@ -305,7 +303,6 @@ def run_scan(
             recovery=recovery,
             packed=packed,
             hosts=hosts,
-            steal_mode=steal_mode,
         )
     stats_before = scheduler.stats
     try:

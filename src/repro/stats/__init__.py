@@ -7,7 +7,7 @@ significance) — and composes them into the Figure-3 evaluation pipeline that
 the GA uses as its objective function.
 """
 
-from .cache import CachedEvaluator, CacheStatistics, CountingEvaluator
+from .cache import CachedEvaluator, CacheStatistics
 from .chi2 import Chi2Result, chi2_sf, pearson_chi2
 from .clump import (
     ClumpResult,
@@ -74,6 +74,5 @@ __all__ = [
     "EvaluationRecord",
     "HaplotypeEvaluator",
     "CachedEvaluator",
-    "CountingEvaluator",
     "CacheStatistics",
 ]

@@ -1,4 +1,4 @@
-"""Evaluation memoisation and call counting.
+"""Evaluation memoisation.
 
 The paper's cost metric is the *number of evaluations* (Table 2): each
 EH-DIALL + CLUMP run is expensive, so repeatedly evaluating the same haplotype
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..lru import LRUCache
 
-__all__ = ["CacheStatistics", "CachedEvaluator", "CountingEvaluator"]
+__all__ = ["CacheStatistics", "CachedEvaluator"]
 
 #: Sentinel distinguishing "not cached" from legitimately cached falsy values
 #: (a zero fitness is a perfectly valid CLUMP statistic).
@@ -43,25 +43,6 @@ class CacheStatistics:
 
 def _key(snps: Sequence[int] | np.ndarray) -> tuple[int, ...]:
     return tuple(sorted(int(s) for s in snps))
-
-
-class CountingEvaluator:
-    """Wrap a fitness callable and count how many times it is invoked."""
-
-    def __init__(self, fitness: Callable[[Sequence[int]], float]) -> None:
-        self._fitness = fitness
-        self._count = 0
-
-    @property
-    def n_evaluations(self) -> int:
-        return self._count
-
-    def reset(self) -> None:
-        self._count = 0
-
-    def __call__(self, snps: Sequence[int] | np.ndarray) -> float:
-        self._count += 1
-        return float(self._fitness(snps))
 
 
 class CachedEvaluator:

@@ -1,8 +1,8 @@
-"""Tests of the evaluation cache and counting wrappers."""
+"""Tests of the evaluation cache wrapper."""
 
 import pytest
 
-from repro.stats.cache import CachedEvaluator, CountingEvaluator
+from repro.stats.cache import CachedEvaluator
 
 
 def _fake_fitness_factory():
@@ -13,22 +13,6 @@ def _fake_fitness_factory():
         return float(sum(snps))
 
     return fitness, calls
-
-
-class TestCountingEvaluator:
-    def test_counts_calls(self):
-        fitness, _ = _fake_fitness_factory()
-        counting = CountingEvaluator(fitness)
-        counting((1, 2))
-        counting((3, 4))
-        assert counting.n_evaluations == 2
-        counting.reset()
-        assert counting.n_evaluations == 0
-
-    def test_returns_underlying_value(self):
-        fitness, _ = _fake_fitness_factory()
-        counting = CountingEvaluator(fitness)
-        assert counting((1, 2, 3)) == pytest.approx(6.0)
 
 
 class TestCachedEvaluator:

@@ -40,16 +40,11 @@ class TestParser:
 
     def test_distributed_flags_parse(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["run", "--hosts", "node1:7777", "node2:7777", "--steal-mode", "shm"]
-        )
+        args = parser.parse_args(["run", "--hosts", "node1:7777", "node2:7777"])
         assert args.hosts == ["node1:7777", "node2:7777"]
-        assert args.steal_mode == "shm"
         args = parser.parse_args(["scan", "--cost-model", "model.json",
                                   "--hosts", "node1:7777"])
         assert args.cost_model == "model.json" and args.hosts == ["node1:7777"]
-        with pytest.raises(SystemExit):
-            parser.parse_args(["scan", "--steal-mode", "carrier-pigeon"])
 
     def test_worker_command_parses(self):
         parser = build_parser()
@@ -138,8 +133,6 @@ class TestCommands:
         assert "--hosts" in capsys.readouterr().err
         assert main(["scan", "--hosts", "localhost:7777"]) == 2
         assert "remote" in capsys.readouterr().err
-        assert main(["scan", "--steal-mode", "shm", "--backend", "serial"]) == 2
-        assert "process-farm" in capsys.readouterr().err
 
     def test_run_over_local_worker_host(self, tmp_path, capsys):
         from repro.runtime.remote import LocalWorkerHost

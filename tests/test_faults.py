@@ -235,80 +235,6 @@ class TestFarmDeath:
         assert time.perf_counter() - start < 10.0
 
 
-class _SlowLinearFactory:
-    """Linear fitness with a pacing sleep, so the whole batch cannot drain
-    before every slave has booted and evaluated its ``kill_after`` chunks —
-    on the self-serving deque substrate a fast fitness lets the first slave
-    (plus steals) eat the batch before the token winner ever evaluates."""
-
-    def __call__(self):
-        def fitness(snps):
-            time.sleep(0.02)
-            return _linear_fitness(snps)
-
-        return fitness
-
-
-class TestShmDequeRecovery:
-    """PR-6 recovery semantics on the shared-memory steal-deque substrate."""
-
-    def test_survives_slave_death_mid_steal_bit_identical(self, tmp_path):
-        batch = _batch(24)
-        policy = ChaosPolicy(kill_after=2, token_path=str(tmp_path / "token"))
-        recovery = FarmRecoveryPolicy(respawn=True)
-        farm = ChunkedWorkerFarm(
-            ChaosFactory(_SlowLinearFactory(), policy), 3,
-            chunk_size=1, steal=True, worker_cache_size=0,
-            steal_mode="shm", recovery=recovery,
-        )
-        farm._RESULT_POLL_SECONDS = FAST_POLL
-        with farm:
-            values, _ = farm.evaluate(batch)
-            counters = farm.recovery_counters()
-            assert farm.n_alive_workers == 3
-        assert values == [float(3 * i + 5) for i in range(24)]
-        assert counters["n_worker_deaths"] == 1
-        assert counters["n_chunks_replayed"] >= 1
-        assert counters["n_worker_respawns"] == 1
-
-    def test_survivor_absorbs_death_without_respawn(self, tmp_path):
-        batch = _batch(24)
-        policy = ChaosPolicy(kill_after=2, token_path=str(tmp_path / "token"))
-        farm = ChunkedWorkerFarm(
-            ChaosFactory(_SlowLinearFactory(), policy), 3,
-            chunk_size=1, steal=True, worker_cache_size=0,
-            steal_mode="shm", recovery=FarmRecoveryPolicy(),
-        )
-        farm._RESULT_POLL_SECONDS = FAST_POLL
-        with farm:
-            values, _ = farm.evaluate(batch)
-            counters = farm.recovery_counters()
-            assert farm.n_alive_workers == 2
-        assert values == [float(3 * i + 5) for i in range(24)]
-        assert counters["n_worker_deaths"] == 1
-        assert counters["n_chunks_replayed"] >= 1
-        assert counters["n_worker_respawns"] == 0
-
-    def test_farm_dead_with_chunks_still_resident_in_deques(self):
-        # every slave is armed and dies on its first chunk; with no recovery
-        # policy the first detected death fails the farm while most of the
-        # batch is still sitting in the shared arena
-        policy = ChaosPolicy(kill_after=1)
-        farm = _make_farm(policy=policy, steal_mode="shm")
-        try:
-            ticket = farm.submit(_batch(16))
-            with pytest.raises(FarmDeadError) as excinfo:
-                farm.collect(ticket)
-            assert ticket in excinfo.value.lost_tickets
-            # the arena still holds undelivered chunks at death time
-            assert farm._deques.n_free_slots < farm._deques.n_slots
-        finally:
-            start = time.perf_counter()
-            farm.terminate()
-            farm.terminate()
-            assert time.perf_counter() - start < 10.0
-
-
 @pytest.fixture(scope="module")
 def quick_config():
     return GAConfig(

@@ -4,6 +4,8 @@ The worker pool is real (forked processes), so these tests keep the batches
 small; the key property is bit-identical agreement with the serial evaluator.
 """
 
+import os
+
 import pytest
 
 from repro.parallel.master_slave import MasterSlaveEvaluator, default_worker_count
@@ -39,6 +41,18 @@ class TestConfiguration:
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
+
+    def test_default_worker_count_honours_cpu_affinity(self, monkeypatch):
+        # a process pinned to one CPU (taskset, cgroup cpuset) gets one slave,
+        # however many CPUs the machine has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_worker_count() == 1
+
+    def test_default_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_worker_count() == 3
 
 
 class TestEvaluation:

@@ -185,17 +185,6 @@ class TestRemoteBackend:
                 "remote", _linear_fitness, hosts=[worker_host.host]
             )
 
-    def test_rejects_shm_steal_mode(self, worker_host):
-        dataset = lille51().dataset
-        with pytest.raises(TypeError, match="steal_mode"):
-            create_evaluator(
-                "remote",
-                EvaluatorSpec(),
-                dataset=dataset,
-                hosts=[worker_host.host],
-                steal_mode="shm",
-            )
-
     @pytest.mark.parametrize("backend", ["serial", "threads", "process", "async"])
     def test_local_backends_reject_hosts(self, backend):
         dataset = lille51().dataset
