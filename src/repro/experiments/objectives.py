@@ -20,7 +20,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..genetics.simulate import SimulatedStudy
 from ..stats.evaluation import HaplotypeEvaluator
@@ -158,6 +157,9 @@ def run_objective_comparison(
                 score_arrays[name] = np.asarray(evaluator.evaluate_batch(haplotypes))
             finally:
                 evaluator.close()
+
+    # imported here so that importing repro does not load scipy.stats (~1 s)
+    from scipy import stats as scipy_stats
 
     correlations: dict[tuple[str, str], float] = {}
     for a, b in combinations(objectives, 2):

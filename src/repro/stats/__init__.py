@@ -11,6 +11,7 @@ from .cache import CachedEvaluator, CacheStatistics
 from .chi2 import Chi2Result, chi2_sf, pearson_chi2
 from .clump import (
     ClumpResult,
+    clump_statistic,
     clump_statistics,
     monte_carlo_p_values,
     simulate_table_with_margins,
@@ -64,6 +65,7 @@ __all__ = [
     "run_ehdiall",
     "h0_frequencies",
     "ClumpResult",
+    "clump_statistic",
     "clump_statistics",
     "t1_statistic",
     "t2_statistic",

@@ -24,6 +24,12 @@ Because T3 and T4 are maxima over many correlated tests, their nominal
 chi-square p-values are anti-conservative; CLUMP therefore estimates
 significance by Monte-Carlo simulation of random tables with the same
 marginal totals, which :func:`monte_carlo_p_values` reproduces.
+
+The GA's fitness needs one statistic and no p-value, so
+:func:`clump_statistic` computes only the named one.  The ``tN_statistic``
+functions and :func:`clump_statistics` share its arithmetic and add the
+degrees of freedom and nominal p-values on demand; those import
+``scipy.stats`` lazily (see :func:`~repro.stats.chi2.chi2_sf`).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi2 import Chi2Result, chi2_sf, pearson_chi2
+from .chi2 import Chi2Result, _pearson, chi2_sf, pearson_chi2
 from .contingency import ContingencyTable
 
 __all__ = [
@@ -41,10 +47,14 @@ __all__ = [
     "t2_statistic",
     "t3_statistic",
     "t4_statistic",
+    "clump_statistic",
     "clump_statistics",
     "simulate_table_with_margins",
     "monte_carlo_p_values",
 ]
+
+#: Names of the four CLUMP statistics, in report order.
+_NAMES = ("t1", "t2", "t3", "t4")
 
 
 @dataclass(frozen=True)
@@ -58,10 +68,14 @@ class ClumpResult:
 
     def statistic(self, name: str) -> float:
         """Value of one of the statistics by name (``"t1"`` … ``"t4"``)."""
-        name = name.lower()
-        if name not in {"t1", "t2", "t3", "t4"}:
-            raise ValueError(f"unknown CLUMP statistic {name!r}")
-        return float(getattr(self, name).statistic)
+        return float(getattr(self, _checked_name(name)).statistic)
+
+
+def _checked_name(name: str) -> str:
+    name = name.lower()
+    if name not in _NAMES:
+        raise ValueError(f"unknown CLUMP statistic {name!r}")
+    return name
 
 
 def t1_statistic(table: ContingencyTable) -> Chi2Result:
@@ -87,8 +101,7 @@ def _two_by_two_chi2(a: float, b: float, c: float, d: float) -> float:
     return float(n * (a * d - b * c) ** 2 / denom)
 
 
-def t3_statistic(table: ContingencyTable) -> Chi2Result:
-    """T3: maximum chi-square of each column tested against all the others pooled."""
+def _t3_value(table: ContingencyTable) -> float:
     table = table.drop_empty_columns()
     counts = table.counts
     row_totals = table.row_totals
@@ -99,20 +112,20 @@ def t3_statistic(table: ContingencyTable) -> Chi2Result:
         b = row_totals[0] - a
         d = row_totals[1] - c
         best = max(best, _two_by_two_chi2(a, b, c, d))
+    return best
+
+
+def t3_statistic(table: ContingencyTable) -> Chi2Result:
+    """T3: maximum chi-square of each column tested against all the others pooled."""
+    best = _t3_value(table)
     return Chi2Result(statistic=best, df=1, p_value=chi2_sf(best, 1))
 
 
-def t4_statistic(table: ContingencyTable) -> Chi2Result:
-    """T4: maximum 2×2 chi-square over column subsets pooled against the rest.
-
-    Columns are ordered by their affected proportion and every prefix split of
-    that order is evaluated; this examines ``m - 1`` candidate clumpings and
-    contains the chi-square-optimal bipartition.
-    """
+def _t4_value(table: ContingencyTable) -> float:
     table = table.drop_empty_columns()
     counts = table.counts
     if table.n_columns < 2:
-        return Chi2Result(statistic=0.0, df=1, p_value=1.0)
+        return 0.0
     column_totals = table.column_totals
     with np.errstate(invalid="ignore", divide="ignore"):
         affected_ratio = np.where(column_totals > 0, counts[0] / column_totals, 0.0)
@@ -127,7 +140,36 @@ def t4_statistic(table: ContingencyTable) -> Chi2Result:
         b = row_totals[0] - a
         d = row_totals[1] - c
         best = max(best, _two_by_two_chi2(a, b, c, d))
+    return best
+
+
+def t4_statistic(table: ContingencyTable) -> Chi2Result:
+    """T4: maximum 2×2 chi-square over column subsets pooled against the rest.
+
+    Columns are ordered by their affected proportion and every prefix split of
+    that order is evaluated; this examines ``m - 1`` candidate clumpings and
+    contains the chi-square-optimal bipartition.
+    """
+    best = _t4_value(table)
     return Chi2Result(statistic=best, df=1, p_value=chi2_sf(best, 1))
+
+
+def clump_statistic(
+    table: ContingencyTable, name: str, *, min_expected: float = 5.0
+) -> float:
+    """Value of one CLUMP statistic (``"t1"`` … ``"t4"``), without a p-value.
+
+    Equal, bit for bit, to ``clump_statistics(table).statistic(name)`` at the
+    cost of the named statistic alone; this is the GA's fitness path.
+    """
+    name = _checked_name(name)
+    if name == "t1":
+        return _pearson(table)[0]
+    if name == "t2":
+        return _pearson(table.clump_rare_columns(min_expected))[0]
+    if name == "t3":
+        return _t3_value(table)
+    return _t4_value(table)
 
 
 def clump_statistics(table: ContingencyTable, *, min_expected: float = 5.0) -> ClumpResult:
@@ -181,15 +223,13 @@ def monte_carlo_p_values(
         raise ValueError("n_simulations must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     table = table.drop_empty_columns()
-    observed = clump_statistics(table, min_expected=min_expected)
-    observed_values = {k: observed.statistic(k) for k in ("t1", "t2", "t3", "t4")}
-    exceed = {k: 0 for k in observed_values}
+    observed = {k: clump_statistic(table, k, min_expected=min_expected) for k in _NAMES}
+    exceed = {k: 0 for k in _NAMES}
     row_totals = table.row_totals
     column_p = table.column_totals / table.total
     for _ in range(n_simulations):
         simulated = simulate_table_with_margins(row_totals, column_p, rng)
-        sim_stats = clump_statistics(simulated, min_expected=min_expected)
-        for k in exceed:
-            if sim_stats.statistic(k) >= observed_values[k]:
+        for k in _NAMES:
+            if clump_statistic(simulated, k, min_expected=min_expected) >= observed[k]:
                 exceed[k] += 1
-    return {k: (1 + exceed[k]) / (1 + n_simulations) for k in exceed}
+    return {k: (1 + exceed[k]) / (1 + n_simulations) for k in _NAMES}

@@ -43,7 +43,7 @@ number and cost of these EM runs):
   tables (duplicated genotype classes are *exactly* equivalent to one merged
   class for the likelihood and the EM updates), and
   :class:`PhaseExpansionCache` memoises expansions per SNP subset so
-  re-evaluating a haplotype never repeats genotype slicing, ``np.unique``,
+  re-evaluating a haplotype never repeats genotype slicing, class counting
   or pair enumeration;
 * :func:`estimate_from_expansion` accepts ``initial_frequencies``, enabling
   warm starts (e.g. seeding the pooled EM from the count-weighted mix of the
@@ -349,89 +349,34 @@ def _enumerate_pairs(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return pa[order], pb[order], pc[order]
 
 
-def expand_phases(genotypes: np.ndarray) -> PhaseExpansion:
-    """Group complete genotypes into classes and enumerate their phase pairs.
+#: histogram span cap for radix class counting; denser spans fall back to
+#: sorting the codes (``np.unique``), which is O(n log n) in the number of
+#: individuals instead of O(4^L) in the state space.
+_RADIX_BINCOUNT_MAX = 1 << 20
 
-    Parameters
-    ----------
-    genotypes:
-        ``(n_individuals, n_loci)`` array of codes 0/1/2/-1.  Individuals with
-        any missing genotype at these loci are excluded (matching the
-        behaviour of the original EH program, which requires complete data).
-    """
-    genotypes = np.asarray(genotypes)
-    if genotypes.ndim != 2:
-        raise ValueError("genotypes must be 2-D (individuals x loci)")
-    n_loci = genotypes.shape[1]
-    if n_loci == 0:
-        raise ValueError("at least one locus is required")
-    complete = ~np.any(genotypes == GENOTYPE_MISSING, axis=1)
-    genotypes = genotypes[complete]
-
-    if genotypes.shape[0] == 0:
-        return PhaseExpansion(
-            n_loci=n_loci,
-            class_counts=np.zeros(0, dtype=np.int64),
-            pair_a=np.zeros(0, dtype=np.int64),
-            pair_b=np.zeros(0, dtype=np.int64),
-            pair_class=np.zeros(0, dtype=np.int64),
-            pair_multiplicity=np.zeros(0, dtype=np.float64),
-            class_genotypes=np.zeros((0, n_loci), dtype=genotypes.dtype),
-        )
-
-    classes, counts = np.unique(genotypes, axis=0, return_counts=True)
-    pa, pb, pc = _enumerate_pairs(classes)
-    multiplicity = np.where(pa == pb, 1.0, 2.0)
-    return PhaseExpansion(
-        n_loci=n_loci,
-        class_counts=counts.astype(np.int64),
-        pair_a=pa,
-        pair_b=pb,
-        pair_class=pc,
-        pair_multiplicity=multiplicity,
-        class_genotypes=classes,
-    )
+#: loci bound of the int64 radix code (4^31 < 2^63); larger subsets sort rows.
+_RADIX_MAX_LOCI = 31
 
 
-#: histogram span cap for the packed class-counting path; denser spans fall
-#: back to sorting the radix codes (``np.unique``), which is O(n log n) in the
-#: number of individuals instead of O(4^L) in the state space.
-_PACKED_BINCOUNT_MAX = 1 << 20
-
-#: loci bound of the int64 radix code (4^31 < 2^63); larger subsets unpack.
-_PACKED_MAX_LOCI = 31
-
-
-def expand_phases_packed(
-    panel: PackedPanel, snps: Sequence[int] | np.ndarray
+def _expansion_from_codes(
+    codes: np.ndarray, n_loci: int, class_dtype: np.dtype
 ) -> PhaseExpansion:
-    """Packed fast path of :func:`expand_phases` — bit-identical output.
+    """Count genotype classes from base-4 radix codes and expand their phases.
 
-    Instead of slicing byte columns and running ``np.unique`` over rows, the
-    genotype classes are counted as base-4 radix codes built straight from the
-    packed 2-bit columns (:meth:`PackedPanel.codes`): a histogram (or a code
-    sort for large state spaces) yields the classes in ascending code order.
+    ``codes`` holds one code per individual with locus 0 in the most
+    significant digit and digit 3 (:data:`CODE_MISSING`) for a missing
+    genotype.  A histogram (or a code sort for large state spaces) yields the
+    classes in ascending code order; classes containing digit 3 are dropped.
 
-    Bit-identity argument: the radix code puts locus 0 in the most significant
-    digit, so ascending code order *is* the lexicographic row order
+    Ascending code order *is* the lexicographic row order
     ``np.unique(genotypes, axis=0)`` sorts complete rows into (genotype values
-    0/1/2 order identically as bytes and as 2-bit digits).  Individuals with a
-    missing genotype carry digit 3 somewhere; the byte path drops those rows
-    before uniquing, this path drops the classes containing digit 3 after
-    counting — same surviving classes, same order, same counts.  The decoded
-    classes then feed the same :func:`_enumerate_pairs`, so every
-    :class:`PhaseExpansion` field matches the byte path exactly.
+    0/1/2 order identically as integers and as base-4 digits), so the classes,
+    their counts and, through :func:`_enumerate_pairs`, every pair array
+    match a row sort exactly.  ``class_dtype`` is the dtype of the returned
+    ``class_genotypes``.
     """
-    idx = np.asarray(snps, dtype=np.intp)
-    n_loci = idx.shape[0]
-    if n_loci == 0:
-        raise ValueError("at least one locus is required")
-    if n_loci > _PACKED_MAX_LOCI:
-        return expand_phases(panel.unpack_columns(idx))
-
-    codes = panel.codes(idx)
     n_states = 4**n_loci
-    if n_states <= min(_PACKED_BINCOUNT_MAX, max(4096, 4 * codes.size)):
+    if n_states <= min(_RADIX_BINCOUNT_MAX, max(4096, 4 * codes.size)):
         histogram = np.bincount(codes, minlength=n_states)
         present = np.flatnonzero(histogram)
         counts = histogram[present]
@@ -441,21 +386,27 @@ def expand_phases_packed(
     shifts = 2 * (n_loci - 1 - np.arange(n_loci))
     digits = (present[:, None] >> shifts) & 3
     complete = ~np.any(digits == CODE_MISSING, axis=1)
-    digits = digits[complete]
-    counts = counts[complete]
+    if not complete.all():
+        digits = digits[complete]
+        counts = counts[complete]
+    return _expansion_from_classes(n_loci, digits.astype(class_dtype), counts)
 
-    if digits.shape[0] == 0:
+
+def _expansion_from_classes(
+    n_loci: int, classes: np.ndarray, counts: np.ndarray
+) -> PhaseExpansion:
+    """The expansion of sorted distinct complete genotypes and their counts."""
+    if classes.shape[0] == 0:
+        empty = np.zeros(0, dtype=np.int64)
         return PhaseExpansion(
             n_loci=n_loci,
-            class_counts=np.zeros(0, dtype=np.int64),
-            pair_a=np.zeros(0, dtype=np.int64),
-            pair_b=np.zeros(0, dtype=np.int64),
-            pair_class=np.zeros(0, dtype=np.int64),
+            class_counts=empty,
+            pair_a=empty.copy(),
+            pair_b=empty.copy(),
+            pair_class=empty.copy(),
             pair_multiplicity=np.zeros(0, dtype=np.float64),
-            class_genotypes=np.zeros((0, n_loci), dtype=np.int8),
+            class_genotypes=classes,
         )
-
-    classes = digits.astype(np.int8)
     pa, pb, pc = _enumerate_pairs(classes)
     multiplicity = np.where(pa == pb, 1.0, 2.0)
     return PhaseExpansion(
@@ -467,6 +418,63 @@ def expand_phases_packed(
         pair_multiplicity=multiplicity,
         class_genotypes=classes,
     )
+
+
+def expand_phases(genotypes: np.ndarray) -> PhaseExpansion:
+    """Group complete genotypes into classes and enumerate their phase pairs.
+
+    Parameters
+    ----------
+    genotypes:
+        ``(n_individuals, n_loci)`` array of codes 0/1/2/-1.  Individuals with
+        any missing genotype at these loci are excluded (matching the
+        behaviour of the original EH program, which requires complete data).
+
+    Classes are counted by base-4 radix code (:func:`_expansion_from_codes`),
+    the same algorithm as :func:`expand_phases_packed`; subsets wider than
+    :data:`_RADIX_MAX_LOCI` loci sort the rows instead.  Either way the
+    classes come out in lexicographic row order.
+    """
+    genotypes = np.asarray(genotypes)
+    if genotypes.ndim != 2:
+        raise ValueError("genotypes must be 2-D (individuals x loci)")
+    n_loci = genotypes.shape[1]
+    if n_loci == 0:
+        raise ValueError("at least one locus is required")
+    complete = ~np.any(genotypes == GENOTYPE_MISSING, axis=1)
+    if not complete.all():
+        genotypes = genotypes[complete]
+    if genotypes.size and (genotypes.min() < 0 or genotypes.max() > 2):
+        raise ValueError("genotype codes must be 0, 1, 2 or missing (-1)")
+
+    if n_loci > _RADIX_MAX_LOCI:
+        classes, counts = np.unique(genotypes, axis=0, return_counts=True)
+        return _expansion_from_classes(n_loci, classes, counts)
+    radix = np.int64(4) ** np.arange(n_loci - 1, -1, -1, dtype=np.int64)
+    return _expansion_from_codes(np.dot(genotypes, radix), n_loci, genotypes.dtype)
+
+
+def expand_phases_packed(
+    panel: PackedPanel, snps: Sequence[int] | np.ndarray
+) -> PhaseExpansion:
+    """Packed fast path of :func:`expand_phases` — bit-identical output.
+
+    Instead of slicing byte columns, the base-4 radix codes are built straight
+    from the packed 2-bit columns (:meth:`PackedPanel.codes`), where a missing
+    genotype is already digit 3, and counted by the same
+    :func:`_expansion_from_codes` as the byte path.  The byte path drops rows
+    with a missing genotype before coding, this path drops the classes
+    containing digit 3 after counting — same surviving classes, same order,
+    same counts, so every :class:`PhaseExpansion` field matches the byte path
+    exactly (``class_genotypes`` is ``int8``, the dataset byte dtype).
+    """
+    idx = np.asarray(snps, dtype=np.intp)
+    n_loci = idx.shape[0]
+    if n_loci == 0:
+        raise ValueError("at least one locus is required")
+    if n_loci > _RADIX_MAX_LOCI:
+        return expand_phases(panel.unpack_columns(idx))
+    return _expansion_from_codes(panel.codes(idx), n_loci, np.int8)
 
 
 def concat_expansions(first: PhaseExpansion, second: PhaseExpansion) -> PhaseExpansion:
@@ -506,11 +514,11 @@ def concat_expansions(first: PhaseExpansion, second: PhaseExpansion) -> PhaseExp
 class PhaseExpansionCache:
     """Bounded LRU cache of phase expansions for SNP subsets of one matrix.
 
-    Building an expansion means slicing the genotype matrix, running
-    ``np.unique`` over the rows and enumerating up to ``2^(h-1)`` phase pairs
-    per class; the GA re-evaluates the same haplotype many times (elitism,
-    re-insertion, the affected/unaffected/pooled triple of the LRT), so the
-    expansion is worth memoising per sorted SNP tuple.
+    Building an expansion means slicing the genotype matrix, counting its
+    genotype classes and enumerating up to ``2^(h-1)`` phase pairs per class;
+    the GA re-evaluates the same haplotype many times (elitism, re-insertion,
+    the affected/unaffected/pooled triple of the LRT), so the expansion is
+    worth memoising per sorted SNP tuple.
 
     Parameters
     ----------

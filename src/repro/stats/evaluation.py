@@ -26,7 +26,7 @@ do):
 
 * **expansion reuse** — one :class:`~repro.stats.em.PhaseExpansionCache` per
   group, so re-evaluating a haplotype never repeats genotype slicing,
-  ``np.unique`` or phase-pair enumeration; the pooled case+control expansion
+  class counting or phase-pair enumeration; the pooled case+control expansion
   of the LRT path is built by *concatenating* the two group expansions
   (:func:`~repro.stats.em.concat_expansions`) instead of re-expanding the
   pooled genotype matrix;
@@ -57,7 +57,7 @@ import numpy as np
 from ..genetics.alleles import all_haplotype_labels
 from ..lru import LRUCache
 from ..genetics.dataset import GenotypeDataset
-from .clump import ClumpResult, clump_statistics, monte_carlo_p_values
+from .clump import ClumpResult, clump_statistic, clump_statistics, monte_carlo_p_values
 from .contingency import ContingencyTable
 from .ehdiall import EHDiallResult, ehdiall_batch, ehdiall_from_expansion
 from .em import (
@@ -440,12 +440,30 @@ class HaplotypeEvaluator:
         self, snps: tuple[int, ...], affected: EHDiallResult, unaffected: EHDiallResult
     ) -> float:
         pooled = self._pooled_ehdiall(snps, affected, unaffected)
-        statistic = 2.0 * (
-            affected.h1_log_likelihood
-            + unaffected.h1_log_likelihood
-            - pooled.h1_log_likelihood
+        return _lrt_value(affected, unaffected, pooled)
+
+    def _fitness_from_results(
+        self,
+        snps: tuple[int, ...],
+        affected: EHDiallResult,
+        unaffected: EHDiallResult,
+        pooled: EHDiallResult | None = None,
+    ) -> float:
+        """The fitness alone: the selected statistic, no p-value, no labels.
+
+        ``pooled`` is the pooled EH-DIALL result when the caller already has
+        it (the batched path); otherwise the LRT fetches or fits it.
+        """
+        if self._statistic == "lrt":
+            if pooled is None:
+                return self._lrt_from_results(snps, affected, unaffected)
+            return _lrt_value(affected, unaffected, pooled)
+        table = ContingencyTable.from_rows(
+            affected.expected_haplotype_counts(), unaffected.expected_haplotype_counts()
         )
-        return float(max(statistic, 0.0))
+        return clump_statistic(
+            table, self._statistic, min_expected=self._clump_min_expected
+        )
 
     # ------------------------------------------------------------------ #
     def evaluate_detailed(self, snps: Sequence[int] | np.ndarray) -> EvaluationRecord:
@@ -473,8 +491,17 @@ class HaplotypeEvaluator:
         )
 
     def evaluate(self, snps: Sequence[int] | np.ndarray) -> float:
-        """Scalar fitness of a haplotype (the selected CLUMP statistic)."""
-        return self.evaluate_detailed(snps).fitness
+        """Scalar fitness of a haplotype (the selected CLUMP statistic).
+
+        Equal to ``evaluate_detailed(snps).fitness`` without building the
+        labelled table or the other statistics and their p-values.
+        """
+        snps = self._validate_snps(snps)
+        affected = self._group_ehdiall("affected", snps)
+        unaffected = self._group_ehdiall("unaffected", snps)
+        fitness = self._fitness_from_results(snps, affected, unaffected)
+        self._n_evaluations += 1
+        return fitness
 
     def __call__(self, snps: Sequence[int] | np.ndarray) -> float:
         return self.evaluate(snps)
@@ -649,20 +676,12 @@ class HaplotypeEvaluator:
             if slot in slot_fitness:
                 fitnesses.append(slot_fitness[slot])
                 continue
-            affected = resolved[("affected", slot)]
-            unaffected = resolved[("unaffected", slot)]
-            if need_pooled:
-                pooled = resolved[("pooled", slot)]
-                statistic = 2.0 * (
-                    affected.h1_log_likelihood
-                    + unaffected.h1_log_likelihood
-                    - pooled.h1_log_likelihood
-                )
-                fitness = float(max(statistic, 0.0))
-            else:
-                table = self._table_from_results(key, affected, unaffected)
-                clump = clump_statistics(table, min_expected=self._clump_min_expected)
-                fitness = float(clump.statistic(self._statistic))
+            fitness = self._fitness_from_results(
+                key,
+                resolved[("affected", slot)],
+                resolved[("unaffected", slot)],
+                resolved.get(("pooled", slot)),
+            )
             slot_fitness[slot] = fitness
             fitnesses.append(fitness)
         self._n_evaluations += len(keys)
@@ -699,6 +718,18 @@ class HaplotypeEvaluator:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._build_caches()
+
+
+def _lrt_value(
+    affected: EHDiallResult, unaffected: EHDiallResult, pooled: EHDiallResult
+) -> float:
+    """Case/control likelihood-ratio chi-square from the three EH-DIALL fits."""
+    statistic = 2.0 * (
+        affected.h1_log_likelihood
+        + unaffected.h1_log_likelihood
+        - pooled.h1_log_likelihood
+    )
+    return float(max(statistic, 0.0))
 
 
 #: Type alias for anything usable as a fitness function by the GA and the

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from repro.stats.clump import (
+    clump_statistic,
     clump_statistics,
     monte_carlo_p_values,
     simulate_table_with_margins,
@@ -106,6 +107,67 @@ class TestClumpStatistics:
             assert strong.statistic(name) >= weak.statistic(name)
 
 
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestClumpStatisticFastPath:
+    """``clump_statistic`` is the full ``ClumpResult`` lookup, bit for bit."""
+
+    @staticmethod
+    def _assert_fast_path_matches(table, min_expected=5.0):
+        full = clump_statistics(table, min_expected=min_expected)
+        for name in ("t1", "t2", "t3", "t4"):
+            fast = clump_statistic(table, name, min_expected=min_expected)
+            assert type(fast) is float
+            assert _bits(fast) == _bits(full.statistic(name)), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.0, 60.0, allow_nan=False)),
+                st.one_of(st.just(0.0), st.floats(0.0, 60.0, allow_nan=False)),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.sampled_from([0.5, 5.0, 50.0]),
+    )
+    def test_matches_clump_statistics_bitwise(self, columns, min_expected):
+        counts = np.array(columns, dtype=np.float64).T
+        if not (counts.sum(axis=0) > 0).any():
+            return  # every column empty: both paths reject the table
+        self._assert_fast_path_matches(ContingencyTable(counts), min_expected)
+
+    def test_empty_columns(self):
+        table = ContingencyTable.from_rows([0, 12.5, 0, 3, 0], [0, 4, 0, 9.25, 0])
+        self._assert_fast_path_matches(table)
+
+    def test_single_column(self):
+        self._assert_fast_path_matches(ContingencyTable.from_rows([10], [12]))
+        self._assert_fast_path_matches(ContingencyTable.from_rows([0, 7, 0], [0, 3, 0]))
+
+    def test_all_columns_rare_for_t2(self):
+        # every expected count is below min_expected, so T2 pools them all
+        table = ContingencyTable.from_rows([1, 2, 0.5, 1], [2, 0.25, 1, 1])
+        assert table.clump_rare_columns(5.0).n_columns == 1
+        self._assert_fast_path_matches(table)
+
+    def test_unknown_name_and_case(self, associated_table):
+        with pytest.raises(ValueError):
+            clump_statistic(associated_table, "t9")
+        assert clump_statistic(associated_table, "T3") == clump_statistic(
+            associated_table, "t3"
+        )
+
+    def test_all_empty_table_raises_like_clump_statistics(self):
+        table = ContingencyTable.from_rows([0, 0], [0, 0])
+        for name in ("t1", "t2", "t3", "t4"):
+            with pytest.raises(ValueError):
+                clump_statistic(table, name)
+
+
 class TestMonteCarlo:
     def test_simulated_tables_preserve_row_totals(self, associated_table, rng):
         simulated = simulate_table_with_margins(
@@ -115,6 +177,26 @@ class TestMonteCarlo:
         )
         np.testing.assert_allclose(simulated.row_totals, associated_table.row_totals)
         assert simulated.counts.shape == associated_table.counts.shape
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_pvalues_match_full_statistics_reference(self, seed):
+        # the p-values the full ClumpResult path gives for the same seed:
+        # same simulated tables, same comparisons, bit-identical result
+        table = ContingencyTable.from_rows([30, 0, 12, 3, 1], [18, 0, 20, 6, 2])
+        rng = np.random.default_rng(seed)
+        kept = table.drop_empty_columns()
+        observed = clump_statistics(kept)
+        exceed = dict.fromkeys(("t1", "t2", "t3", "t4"), 0)
+        for _ in range(150):
+            simulated = clump_statistics(
+                simulate_table_with_margins(
+                    kept.row_totals, kept.column_totals / kept.total, rng
+                )
+            )
+            for name in exceed:
+                exceed[name] += simulated.statistic(name) >= observed.statistic(name)
+        expected = {name: (1 + n) / 151 for name, n in exceed.items()}
+        assert monte_carlo_p_values(table, n_simulations=150, seed=seed) == expected
 
     def test_pvalues_in_unit_interval_and_reproducible(self, associated_table):
         p1 = monte_carlo_p_values(associated_table, n_simulations=200, seed=1)

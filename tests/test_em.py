@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.genetics.alleles import n_haplotype_states
+from repro.genetics.packed import PackedPanel, pack_genotypes
 from repro.stats.em import (
     estimate_haplotype_frequencies,
     expand_phases,
+    expand_phases_packed,
     _genotype_pairs,
     _log_likelihood,
 )
@@ -139,3 +141,93 @@ class TestEMCorrectness:
         result = estimate_haplotype_frequencies(_genotypes_from_haplotypes(h1, h2))
         assert np.all(result.frequencies >= -1e-12)
         assert result.frequencies.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_expansion(genotypes: np.ndarray, class_dtype) -> dict[str, np.ndarray]:
+    """Brute-force expansion: Python set dedup plus the scalar pair enumeration.
+
+    Shares no code with the radix class counter of :func:`expand_phases`.
+    """
+    n_loci = genotypes.shape[1]
+    rows = [tuple(int(v) for v in row) for row in genotypes.tolist() if -1 not in row]
+    classes = sorted(set(rows))
+    pair_a, pair_b, pair_class = [], [], []
+    for index, genotype in enumerate(classes):
+        for a, b in _genotype_pairs(np.array(genotype)):
+            pair_a.append(a)
+            pair_b.append(b)
+            pair_class.append(index)
+    return {
+        "class_counts": np.array([rows.count(c) for c in classes], dtype=np.int64),
+        "class_genotypes": np.array(classes, dtype=class_dtype).reshape(-1, n_loci),
+        "pair_a": np.array(pair_a, dtype=np.int64),
+        "pair_b": np.array(pair_b, dtype=np.int64),
+        "pair_class": np.array(pair_class, dtype=np.int64),
+        "pair_multiplicity": np.array(
+            [1.0 if a == b else 2.0 for a, b in zip(pair_a, pair_b)], dtype=np.float64
+        ),
+    }
+
+
+def _assert_matches_reference(expansion, genotypes: np.ndarray, class_dtype) -> None:
+    assert expansion.n_loci == genotypes.shape[1]
+    for name, expected in _reference_expansion(genotypes, class_dtype).items():
+        actual = getattr(expansion, name)
+        assert actual.dtype == expected.dtype, name
+        assert actual.shape == expected.shape, name
+        np.testing.assert_array_equal(actual, expected, err_msg=name)
+
+
+class TestExpansionOracle:
+    """Byte and packed expansions against an independent brute-force reference."""
+
+    @staticmethod
+    def _check(genotypes: np.ndarray) -> None:
+        _assert_matches_reference(expand_phases(genotypes), genotypes, genotypes.dtype)
+        n = genotypes.shape[0]
+        panel = PackedPanel(pack_genotypes(genotypes.astype(np.int8)), n)
+        idx = np.arange(genotypes.shape[1], dtype=np.intp)
+        _assert_matches_reference(expand_phases_packed(panel, idx), genotypes, np.int8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=70),
+        st.sampled_from([0.0, 0.1, 0.4]),
+        st.sampled_from([np.int8, np.int64]),
+    )
+    def test_random_panels(self, seed, n_loci, n_individuals, missing_rate, dtype):
+        rng = np.random.default_rng(seed)
+        genotypes = rng.integers(0, 3, size=(n_individuals, n_loci)).astype(dtype)
+        genotypes[rng.random(genotypes.shape) < missing_rate] = -1
+        self._check(genotypes)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    @pytest.mark.parametrize("n_loci", [1, 4, 8, 33])
+    def test_all_missing_panel(self, n_loci, dtype):
+        genotypes = np.full((5, n_loci), -1, dtype=dtype)
+        genotypes[::2, 0] = 1  # typed at one locus only: still incomplete
+        if n_loci == 1:
+            genotypes[:] = -1
+        self._check(genotypes)
+        assert expand_phases(genotypes).class_genotypes.shape == (0, n_loci)
+
+    def test_every_genotype_class_of_three_loci(self):
+        grid = np.array(np.meshgrid(*[[2, 0, 1]] * 3, indexing="ij")).reshape(3, -1).T
+        self._check(np.repeat(grid, 2, axis=0).astype(np.int8)[::-1].copy())
+
+    def test_wide_subset_beyond_the_radix_code(self):
+        # 33 loci do not fit the int64 radix code: both paths sort rows
+        rng = np.random.default_rng(5)
+        genotypes = rng.choice(np.array([0, 2, 1], dtype=np.int8), p=[0.45, 0.45, 0.1],
+                               size=(9, 33))
+        genotypes[[1, 4], :] = genotypes[0]
+        genotypes[7, 3] = -1
+        self._check(genotypes)
+
+    def test_invalid_codes_raise(self):
+        with pytest.raises(ValueError):
+            expand_phases(np.array([[0, 3], [1, 1]], dtype=np.int8))
+        with pytest.raises(ValueError):
+            expand_phases(np.array([[0, -2]], dtype=np.int64))

@@ -115,6 +115,36 @@ class TestEvaluation:
         assert evaluator.evaluate(snps) == pytest.approx(expected, abs=1e-6)
 
 
+class TestFitnessPaths:
+    """``evaluate``, ``evaluate_many`` and ``evaluate_detailed`` agree exactly.
+
+    ``evaluate``/``evaluate_many`` compute only the selected statistic;
+    ``evaluate_detailed`` reads it off the full labelled ``ClumpResult``.
+    """
+
+    HAPLOTYPES = [(2, 5, 9), (0, 3), (1, 4, 6, 11), (2, 5, 9), (7,), (3, 8, 12, 13)]
+
+    @pytest.mark.parametrize("statistic", ["t1", "t2", "t3", "t4", "lrt"])
+    @pytest.mark.parametrize("cache_size", [256, 0])
+    def test_single_batched_and_detailed_agree(self, small_dataset, statistic, cache_size):
+        def fresh():
+            return HaplotypeEvaluator(
+                small_dataset, statistic=statistic, cache_size=cache_size
+            )
+
+        single = fresh()
+        values = [single.evaluate(snps) for snps in self.HAPLOTYPES]
+        batched = fresh().evaluate_many(self.HAPLOTYPES)
+        detailed = fresh()
+        records = [detailed.evaluate_detailed(snps) for snps in self.HAPLOTYPES]
+        assert batched == values
+        assert [record.fitness for record in records] == values
+        if statistic != "lrt":
+            assert values == [r.clump.statistic(statistic) for r in records]
+        assert all(type(value) is float for value in values + batched)
+        assert single.n_evaluations == len(self.HAPLOTYPES)
+
+
 class TestSignificance:
     def test_planted_haplotype_is_significant(self, small_evaluator):
         p = small_evaluator.significance(SMALL_CAUSAL, n_simulations=200, seed=4)

@@ -1,6 +1,9 @@
 """Smoke tests of the top-level package surface."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -48,3 +51,33 @@ class TestPackageSurface:
         )
         result = ga.run()
         assert sorted(result.best_per_size) == [2, 3]
+
+
+class TestImportCost:
+    def test_import_and_scan_load_no_scipy(self):
+        # scipy.stats costs about a second to import; only p-values need it,
+        # and chi2_sf imports it on first use
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro, repro.stats, repro.experiments\n"
+            "from repro.scan import run_scan\n"
+            "study = repro.lille_like_study(seed=3, n_affected=12, n_unaffected=12,"
+            " n_snps=10)\n"
+            "config = repro.GAConfig(population_size=6, min_haplotype_size=2,"
+            " max_haplotype_size=3, termination_stagnation=1, max_generations=2)\n"
+            "run_scan(study.dataset, window_size=5, overlap=2, config=config, seed=1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from scipy import stats\n"
+            "from repro.stats import chi2_sf\n"
+            "for x, df in [(0.0, 1), (3.84, 1), (12.5, 7), (250.0, 60)]:\n"
+            "    assert chi2_sf(x, df) == float(stats.chi2.sf(x, df)), (x, df)\n"
+            "assert chi2_sf(5.0, 0) == 1.0\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "ok"]
