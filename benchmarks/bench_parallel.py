@@ -1,4 +1,4 @@
-"""Benchmark: master/slave dispatch protocols (workers x chunk size).
+"""Benchmark: the chunked master/slave farm vs serial (workers x chunk size).
 
 Measures the parallel evaluation layer end to end on a steady-state GA
 workload and records the trajectory to ``BENCH_parallel.json``
@@ -10,34 +10,33 @@ Streams of generation batches mixing *fresh* haplotypes (new offspring) with
 *re-requested* ones (elitist survivors, duplicate offspring, repeated
 candidates) drawn from a recent-generations window.  The master-side batch
 fast path is disabled, exactly as in the bounded-cache regime where
-re-requests genuinely travel to the slaves — the regime the chunked protocol
-is designed for.  Three revisit intensities are recorded:
+re-requests genuinely travel to the slaves.  Three revisit intensities are
+recorded:
 
 * ``ga_trace`` (50% revisits) — a mid-run GA generation mix;
 * ``service_steady_state`` (70% revisits) — the re-request-heavy traffic of
   a long-running evaluation service whose bounded master cache cannot hold
   the working set (stagnation phases, many concurrent runs over the same
   panel);
-* ``cold`` (0% revisits, worker caches off) — pure dispatch overhead.
+* ``cold`` (0% revisits, worker caches off) — pure evaluation plus dispatch
+  overhead.
 
-Protocols
----------
-* ``individual`` — the seed protocol: one haplotype per pool task.  Which
-  slave evaluates a haplotype is whatever the pool scheduler decides, so a
-  re-requested haplotype usually misses the caches of the slave that
-  evaluated it first.
+Contenders
+----------
+* ``serial`` — the in-process reference evaluator, same stream, same
+  disabled master fast path.
 * ``chunked`` — per-slave queues with content-affinity routing
   (:class:`repro.parallel.farm.ChunkedWorkerFarm`): a haplotype is always
   routed to the same slave, whose local batch fast path (worker LRU +
   evaluator expansion/result caches) answers re-requests without
   re-evaluating; each slave receives its share of a generation as chunks.
 
-The headline number — recorded as
-``chunked_vs_individual_gain_at_<N>_workers`` — is the throughput ratio of
-the two protocols on the identical ``service_steady_state`` stream at the
-same worker count; the ``ga_trace`` and ``cold`` ratios are recorded
-alongside for honesty (the cold message-overhead saving is small on a single
-machine).
+The headline numbers are throughput ratios against serial on the identical
+stream at each worker count: ``chunked_vs_serial_gain_at_<N>_workers`` for
+``service_steady_state`` and ``<scenario>_chunked_vs_serial_gain_at_<N>_workers``
+for the other two (best chunk size per worker count).  A ratio below 1 means
+the farm loses to serial on this machine; ``cpu_count`` records how many
+cores the numbers were measured on.
 
 Usage::
 
@@ -125,7 +124,7 @@ def bench_protocol(
     chunk_size: int | None,
     worker_cache_size: int | None,
 ) -> dict:
-    """Time one dispatch protocol over the whole stream (fresh farm)."""
+    """Time one contender over the whole stream (fresh evaluator or farm)."""
     spec = EvaluatorSpec()
     if protocol == "serial":
         evaluator = SerialEvaluator(spec.build(dataset), dedup=False, cache_size=0)
@@ -133,8 +132,7 @@ def bench_protocol(
         evaluator = MasterSlaveEvaluator(
             spec.build(dataset),
             n_workers=n_workers,
-            dispatch="individual" if protocol == "individual" else "chunked",
-            chunk_size=chunk_size if protocol == "chunked" else 1,
+            chunk_size=chunk_size,
             worker_cache_size=worker_cache_size,
             dedup=False,
             cache_size=0,
@@ -166,21 +164,16 @@ def _bench_scenario(
     worker_counts,
     chunk_sizes,
     worker_cache_size,
-    include_serial: bool,
 ) -> dict[int, float]:
-    """Run every protocol over one stream; return gain per worker count."""
+    """Run serial and every farm shape over one stream; return the chunked
+    vs serial gain per worker count."""
     gains: dict[int, float] = {}
-    if include_serial:
-        results["serial"] = bench_protocol(
-            dataset, stream, protocol="serial", n_workers=1,
-            chunk_size=None, worker_cache_size=None,
-        )
+    serial = bench_protocol(
+        dataset, stream, protocol="serial", n_workers=1,
+        chunk_size=None, worker_cache_size=None,
+    )
+    results["serial"] = serial
     for n_workers in worker_counts:
-        individual = bench_protocol(
-            dataset, stream, protocol="individual", n_workers=n_workers,
-            chunk_size=None, worker_cache_size=worker_cache_size,
-        )
-        results[f"individual_{n_workers}w"] = individual
         for chunk_size in chunk_sizes:
             label = f"chunked_{n_workers}w_c{chunk_size or 'auto'}"
             results[label] = bench_protocol(
@@ -192,7 +185,7 @@ def _bench_scenario(
             for key, value in results.items()
             if key.startswith(f"chunked_{n_workers}w")
         )
-        gains[n_workers] = individual["elapsed_seconds"] / best_chunked
+        gains[n_workers] = serial["elapsed_seconds"] / best_chunked
     return gains
 
 
@@ -222,6 +215,7 @@ def run_benchmark(*, quick: bool) -> dict:
     report: dict = {
         "benchmark": "parallel_dispatch",
         "dataset": "lille51",
+        "cpu_count": os.cpu_count(),
         "n_generations": n_generations,
         "batch_size": batch_size,
         "scenarios": {name: {} for name in streams},
@@ -238,18 +232,12 @@ def run_benchmark(*, quick: bool) -> dict:
             # cold isolates dispatch overhead, so slave-side reuse is off
             chunk_sizes=(None,) if cold else chunk_sizes,
             worker_cache_size=0 if cold else None,
-            include_serial=not cold,
         )
-        if name == "service_steady_state":
-            for n_workers, gain in gains.items():
-                report["headline"][
-                    f"chunked_vs_individual_gain_at_{n_workers}_workers"
-                ] = gain
-        else:
-            for n_workers, gain in gains.items():
-                report["headline"][
-                    f"{name}_chunked_vs_individual_gain_at_{n_workers}_workers"
-                ] = gain
+        prefix = "" if name == "service_steady_state" else f"{name}_"
+        for n_workers, gain in gains.items():
+            report["headline"][
+                f"{prefix}chunked_vs_serial_gain_at_{n_workers}_workers"
+            ] = gain
     return report
 
 

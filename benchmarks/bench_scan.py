@@ -1,8 +1,8 @@
 """Benchmark: genome-scale scan — persistent scheduler vs per-window services.
 
 Measures what the scan subsystem was built for: N windowed GA runs over one
-shared execution substrate versus the naive loop a user would write around
-the one-shot ``RunService`` (one farm spin-up, one shared-memory panel
+shared execution substrate versus the naive loop a user would write with a
+fresh ``RunScheduler`` per window (one farm spin-up, one shared-memory panel
 registration and one cold cache population **per window**).  Records the
 trajectory to ``BENCH_scan.json`` (diffable with ``scripts/bench_compare.py``).
 
@@ -17,7 +17,7 @@ contenders execute the identical per-window ``RunRequest`` sequence:
   backend for the whole scan; windows share the farm, the shared-memory
   segment and the dedup/LRU caches (overlapping windows re-request the same
   global haplotypes).
-* ``naive`` — a fresh one-shot ``RunService.run`` per window, the pre-scan
+* ``naive`` — a fresh ``RunScheduler`` on each window view, the pre-scan
   architecture: per-window farm spin-up/teardown and no cross-window reuse.
 
 The headline number — ``persistent_vs_naive_gain_at_<N>_workers`` — is the
@@ -46,7 +46,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 from repro.core.config import GAConfig  # noqa: E402
 from repro.experiments.datasets import large249  # noqa: E402
-from repro.runtime.service import RunRequest, RunScheduler, RunService  # noqa: E402
+from repro.runtime.service import RunRequest, RunScheduler  # noqa: E402
 from repro.scan.planner import plan_scan  # noqa: E402
 from repro.scan.runner import execute_plan  # noqa: E402
 
@@ -90,24 +90,27 @@ def bench_persistent(dataset, plan, *, backend, n_workers, jobs) -> dict:
 
 
 def bench_naive(dataset, plan, *, backend, n_workers) -> dict:
-    """A fresh one-shot RunService per window (the pre-scan architecture)."""
+    """A fresh RunScheduler per window view (the pre-scan architecture)."""
     start = time.perf_counter()
     n_requests = n_evaluations = 0
     checksum = 0.0
     n_windows = 0
     for window, request in plan.requests():
-        service = RunService(dataset.window(window.start, window.stop))
         # the naive loop runs each window on its own sub-panel: local indices,
-        # a fresh evaluator, and (on process backends) a fresh farm
+        # a fresh evaluator, and (on farm backends) a fresh farm
         local = RunRequest(
             config=request.config,
             n_runs=request.n_runs,
             seed=request.seed,
             statistic=request.statistic,
+        )
+        with RunScheduler(
+            dataset.window(window.start, window.stop),
+            statistic=request.statistic,
             backend=backend,
             n_workers=n_workers,
-        )
-        run = service.run(local)
+        ) as view:
+            run = view.run(local)
         n_requests += run.stats.n_requests
         n_evaluations += run.stats.n_evaluations
         best = max(

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backend", default=None,
                        choices=_backend_choices(),
                        help="execution backend for fitness evaluation "
-                            "(default: serial, or process when --workers > 1)")
+                            "(default: serial, or process-shm when --workers > 1)")
     p_run.add_argument("--workers", type=int, default=1,
                        help="number of evaluation workers (1 = serial unless "
                             "--backend says otherwise)")
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "of re-running them (bit-identical to an "
                              "uninterrupted scan)")
     p_scan.add_argument("--self-heal", action="store_true",
-                        help="survive worker crashes on the process-farm "
+                        help="survive worker crashes on the farm "
                              "backends: respawn dead slaves and replay their "
                              "chunks on survivors")
     p_scan.add_argument("--packed", action="store_true",
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also time the real multiprocessing farm")
     p_speed.add_argument("--chunk-size", type=int, default=None,
                          help="individuals per worker message for --measured")
-    _add_backend_arguments(p_speed, default_backend="process")
+    _add_backend_arguments(p_speed, default_backend="process-shm")
 
     p_land = sub.add_parser("landscape", help="regenerate the Section 3 landscape study")
     p_land.add_argument("--panel-size", type=int, default=16)
@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
              "serve one slave process per connection",
     )
     p_worker.add_argument("--bind", required=True, metavar="HOST:PORT",
-                          help="address to listen on, e.g. 0.0.0.0:7777")
+                          help="address to listen on, e.g. 127.0.0.1:7777; "
+                               "a non-loopback address needs "
+                               "REPRO_REMOTE_AUTHKEY set")
     p_worker.add_argument("--max-connections", type=int, default=None,
                           help="serve this many master connections, then "
                                "exit (default: serve forever)")
@@ -425,7 +427,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .core.config import GAConfig
-    from .runtime.service import RunRequest, RunService
+    from .runtime.service import RunRequest, RunScheduler
 
     config = GAConfig(
         population_size=args.population_size,
@@ -471,31 +473,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     backend = args.backend or (
-        "remote" if args.hosts else ("process" if args.workers > 1 else "serial")
+        "remote" if args.hosts else ("process-shm" if args.workers > 1 else "serial")
     )
     if backend == "remote" and not args.hosts:
         print("run --backend remote requires --hosts HOST:PORT ...",
               file=sys.stderr)
         return 2
-    service = RunService(dataset)
-    run = service.run(
-        RunRequest(
-            config=config,
-            statistic=args.statistic,
-            backend=backend,
-            # an explicit --backend honours --workers exactly (even 1); only
-            # the serial default leaves the worker count to the backend —
-            # and a remote pool runs one slave per host entry
-            n_workers=(
-                None if backend == "remote"
-                else args.workers if args.backend or args.workers > 1
-                else None
-            ),
-            chunk_size=args.chunk_size,
-            packed=args.packed,
-            hosts=tuple(args.hosts) if args.hosts else None,
-        )
-    )
+    with RunScheduler(
+        dataset,
+        statistic=args.statistic,
+        backend=backend,
+        # an explicit --backend honours --workers exactly (even 1); only the
+        # serial default leaves the worker count to the backend — and a
+        # remote pool runs one slave per host entry
+        n_workers=(
+            None if backend == "remote"
+            else args.workers if args.backend or args.workers > 1
+            else None
+        ),
+        chunk_size=args.chunk_size,
+        packed=args.packed,
+        hosts=args.hosts,
+    ) as scheduler:
+        run = scheduler.run(RunRequest(config=config, statistic=args.statistic))
     result = run.result
     print(
         f"finished after {result.n_generations} generations, "
@@ -564,10 +564,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.resume and args.checkpoint is None:
         print("scan --resume requires --checkpoint PATH", file=sys.stderr)
         return 2
-    if args.self_heal and args.backend in ("serial", "threads"):
+    if args.self_heal and args.backend == "serial":
         print(
-            f"scan --self-heal needs a process-farm backend "
-            f"(process, process-shm, async, remote), not {args.backend!r}",
+            f"scan --self-heal needs a farm backend "
+            f"(process-shm, async, remote), not {args.backend!r}",
             file=sys.stderr,
         )
         return 2
@@ -672,7 +672,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
     if args.measured and args.backend == "serial":
         print("speedup --measured times a parallel farm; pick --backend "
-              "threads, process or process-shm", file=sys.stderr)
+              "process-shm or async", file=sys.stderr)
         return 2
     print(run_simulated_speedup(seed=args.seed).format())
     if args.measured:

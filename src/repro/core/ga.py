@@ -211,13 +211,13 @@ class AdaptiveMultiPopulationGA:
     def close(self) -> None:
         """Release the evaluator's resources if this GA created it.
 
-        A process-backed evaluator resolved from ``backend=`` holds worker
-        processes (and, for ``process-shm``, a shared-memory segment); the GA
+        A farm evaluator resolved from ``backend=`` holds worker processes
+        (and, given a dataset, a shared-memory segment); the GA
         owns those and releases them here.  An evaluator supplied explicitly
         by the caller is left untouched.  Idempotent; also available as a
         context manager::
 
-            with AdaptiveMultiPopulationGA(fitness, n_snps=n, backend="process") as ga:
+            with AdaptiveMultiPopulationGA(fitness, n_snps=n, backend="process-shm") as ga:
                 result = ga.run()
         """
         if self._owns_evaluator:

@@ -131,7 +131,7 @@ class MeasuredSpeedupResult:
     report: SpeedupReport
     batch_size: int
     n_repeats: int
-    backend: str = "process"
+    backend: str = "process-shm"
 
     def format(self) -> str:
         speedups = self.report.speedups()
@@ -154,7 +154,7 @@ def run_measured_speedup(
     batch: Sequence[tuple[int, ...]] | None = None,
     n_repeats: int = 3,
     seed: int = DEFAULT_SEED,
-    backend: str = "process",
+    backend: str = "process-shm",
     chunk_size: int | None = None,
 ) -> MeasuredSpeedupResult:
     """Time the same evaluation batch through serial and parallel backends.

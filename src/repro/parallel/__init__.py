@@ -1,9 +1,10 @@
-"""Parallel evaluation substrate: serial, multiprocessing and simulated-PVM backends.
+"""Parallel evaluation substrate: the serial evaluator, the worker farm and a PVM model.
 
 The paper parallelises the GA's expensive evaluation phase with a synchronous
 master/slave organisation on a PVM cluster.  This package provides the same
-organisation on top of :mod:`multiprocessing`
-(:class:`MasterSlaveEvaluator`), an in-process reference backend
+organisation as one chunked farm protocol (:class:`ChunkedWorkerFarm`, driven
+by :class:`MasterSlaveEvaluator` over local processes or remote hosts), an
+in-process reference backend
 (:class:`SerialEvaluator`) and a deterministic cluster model
 (:class:`SimulatedPVM`) used for reproducible speedup studies, together with
 timing helpers.  The island-model extension lives in
@@ -28,7 +29,6 @@ from .farm import (
 from .master_slave import MasterSlaveEvaluator, default_worker_count
 from .pvm import EvaluationCostModel, SimulatedPVM, SimulatedSchedule, SlaveTimeline
 from .serial import SerialEvaluator
-from .threads import ThreadPoolEvaluator
 from .timing import SpeedupPoint, SpeedupReport, Timer, time_callable
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "EvaluationStats",
     "DistinctEvaluation",
     "SerialEvaluator",
-    "ThreadPoolEvaluator",
     "MasterSlaveEvaluator",
     "ChunkedWorkerFarm",
     "ChunkStats",

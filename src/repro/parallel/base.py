@@ -6,14 +6,17 @@ unknown, farms them out to slaves, and waits for every result before
 continuing (a synchronous master/slave organisation, Figure 6).  All the GA
 needs from the substrate is therefore a single operation — "evaluate this
 batch of haplotypes and give me their fitnesses in order" — which is captured
-by the :class:`BatchEvaluator` protocol below.  Three implementations are
+by the :class:`BatchEvaluator` protocol below.  Two implementations are
 provided:
 
 * :class:`~repro.parallel.serial.SerialEvaluator` — evaluate in-process;
-* :class:`~repro.parallel.master_slave.MasterSlaveEvaluator` — a real
-  ``multiprocessing`` worker farm;
-* :class:`~repro.parallel.pvm.SimulatedPVM` — a deterministic model of the
-  paper's PVM cluster used for reproducible speedup studies.
+* :class:`~repro.parallel.master_slave.MasterSlaveEvaluator` — a real worker
+  farm (local processes or remote hosts) speaking the chunked farm protocol
+  of :class:`~repro.parallel.farm.ChunkedWorkerFarm`.
+
+:class:`~repro.parallel.pvm.SimulatedPVM` is not an evaluator but a
+deterministic model of the paper's PVM cluster (one individual per message),
+used for reproducible speedup studies.
 
 Batch fast path
 ---------------
@@ -22,22 +25,23 @@ generation-level fast path in :meth:`~BaseBatchEvaluator.evaluate_batch`:
 identical individuals within a batch are collapsed to one evaluation, a
 master-side fitness cache answers haplotypes seen in earlier generations, and
 only the distinct, unseen remainder is handed to the backend's
-:meth:`~BaseBatchEvaluator._evaluate_distinct` (the serial loop, the
-multiprocessing scatter, ...).  Results are returned in original batch order,
+:meth:`~BaseBatchEvaluator._evaluate_distinct` (the serial loop or the
+farm's scatter).  Results are returned in original batch order,
 and :class:`EvaluationStats` separates the number of fitness *requests* from
 the number of evaluations actually performed — the paper's cost metric.
 
 A haplotype is a *set* of SNPs (every fitness function in this codebase sorts
 its input), so the dedup key is the sorted SNP tuple.  Both layers can be
-switched off (``dedup=False``, ``cache_size=0``) — the speedup experiments
-do, because a cache would turn their repeated timing batches into no-ops.
+switched off (``dedup=False``, ``cache_size=0``) — the measured-speedup
+experiment and ``benchmarks/bench_parallel.py`` do, because a cache would
+turn their repeated timing batches into no-ops.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 from ..lru import LRUCache
@@ -76,7 +80,7 @@ def validate_chunk_size(chunk_size: "int | None") -> None:
         )
 
 
-def default_mp_context(start_method: "str | None" = None):
+def default_mp_context():
     """The multiprocessing context every process backend starts workers from.
 
     ``fork`` (when available) avoids re-importing the scientific stack in
@@ -84,8 +88,6 @@ def default_mp_context(start_method: "str | None" = None):
     """
     from multiprocessing import get_context
 
-    if start_method is not None:
-        return get_context(start_method)
     try:
         return get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -115,8 +117,8 @@ def evaluate_batch_with(
     where the counter deltas report the stacked kernel work the call caused
     (0 for plain callables).
 
-    This is the single routing point the serial evaluator, the thread pool's
-    worker chunks and the farm slaves' chunk fast path all share.
+    This is the single routing point the serial evaluator and the farm
+    slaves' chunk fast path share.
     """
     evaluate_many = getattr(fitness, "evaluate_many", None)
     if evaluate_many is None or len(batch) < 2:
@@ -286,7 +288,7 @@ class EvaluationStats:
 
     def copy(self) -> "EvaluationStats":
         """Snapshot of the current counters."""
-        return EvaluationStats(**self.__dict__)
+        return EvaluationStats(**{name: getattr(self, name) for name in _STATS_FIELDS})
 
     def merge(self, other: "EvaluationStats") -> None:
         """Accumulate another stats object's counters into this one (in place).
@@ -294,36 +296,13 @@ class EvaluationStats:
         Used by the run scheduler to fold the per-batch deltas of one job into
         that job's own stats while many jobs share a single backend evaluator.
         """
-        self.n_evaluations += other.n_evaluations
-        self.n_requests += other.n_requests
-        self.n_batches += other.n_batches
-        self.n_dedup_hits += other.n_dedup_hits
-        self.n_cache_hits += other.n_cache_hits
-        self.total_seconds += other.total_seconds
-        self.backend_seconds += other.backend_seconds
-        self.n_stacked_em += other.n_stacked_em
-        self.n_stacked_problems += other.n_stacked_problems
-        self.n_worker_deaths += other.n_worker_deaths
-        self.n_chunks_replayed += other.n_chunks_replayed
-        self.n_worker_respawns += other.n_worker_respawns
-        self.n_result_cache_hits += other.n_result_cache_hits
+        for name in _STATS_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def since(self, snapshot: "EvaluationStats") -> "EvaluationStats":
         """Stats accumulated after ``snapshot`` was taken (field-wise difference)."""
         return EvaluationStats(
-            n_evaluations=self.n_evaluations - snapshot.n_evaluations,
-            n_requests=self.n_requests - snapshot.n_requests,
-            n_batches=self.n_batches - snapshot.n_batches,
-            n_dedup_hits=self.n_dedup_hits - snapshot.n_dedup_hits,
-            n_cache_hits=self.n_cache_hits - snapshot.n_cache_hits,
-            total_seconds=self.total_seconds - snapshot.total_seconds,
-            backend_seconds=self.backend_seconds - snapshot.backend_seconds,
-            n_stacked_em=self.n_stacked_em - snapshot.n_stacked_em,
-            n_stacked_problems=self.n_stacked_problems - snapshot.n_stacked_problems,
-            n_worker_deaths=self.n_worker_deaths - snapshot.n_worker_deaths,
-            n_chunks_replayed=self.n_chunks_replayed - snapshot.n_chunks_replayed,
-            n_worker_respawns=self.n_worker_respawns - snapshot.n_worker_respawns,
-            n_result_cache_hits=self.n_result_cache_hits - snapshot.n_result_cache_hits,
+            **{name: getattr(self, name) - getattr(snapshot, name) for name in _STATS_FIELDS}
         )
 
     @property
@@ -360,6 +339,9 @@ class EvaluationStats:
     def mean_seconds_per_request(self) -> float:
         """Wall-clock per fitness request (reuse hits included)."""
         return 0.0 if self.n_requests == 0 else self.total_seconds / self.n_requests
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(EvaluationStats))
 
 
 @runtime_checkable
@@ -493,7 +475,7 @@ class BaseBatchEvaluator(abc.ABC):
         """Register a cleanup hook run (once) when the evaluator is closed.
 
         Used by the backend layer to tie auxiliary resources — e.g. the
-        shared-memory genotype store of the ``process-shm`` backend — to the
+        shared-memory genotype store of the local farm backends — to the
         evaluator's lifetime.
         """
         self._close_callbacks.append(callback)

@@ -1,12 +1,12 @@
 """Chunked worker farm: affinity queues, work stealing, streamed completions.
 
-The seed master/slave evaluator reproduced the paper's protocol literally —
-one individual per message through a :class:`multiprocessing.Pool` — which has
-two structural costs the paper's C/PVM implementation did not pay:
+Running the paper's protocol literally on a process pool — one individual
+per message, to whichever worker is free — has two structural costs the
+paper's C/PVM implementation did not pay:
 
 * every individual is a separate task message (scheduling + IPC overhead per
   haplotype instead of per chunk);
-* a ``Pool`` hands tasks to *whichever* worker is free, so a haplotype that is
+* a pool hands tasks to *whichever* worker is free, so a haplotype that is
   re-requested in a later generation usually lands on a different slave than
   the one whose caches already hold its phase expansions and EM result.
 
@@ -351,8 +351,6 @@ class ChunkedWorkerFarm:
     worker_cache_size:
         Bound of each slave's local fitness LRU (``0`` disables slave-side
         result reuse, e.g. for timing studies).
-    start_method:
-        ``multiprocessing`` start method (default: ``fork`` where available).
     steal:
         Enable work stealing: each slave holds at most ``max_inflight``
         chunks; an idle slave is refilled from the longest other affinity
@@ -385,7 +383,6 @@ class ChunkedWorkerFarm:
         *,
         chunk_size: int | None = None,
         worker_cache_size: int | None = 4096,
-        start_method: str | None = None,
         steal: bool = False,
         max_inflight: int = 2,
         cost_model: EvaluationCostModel | None = None,
@@ -399,7 +396,7 @@ class ChunkedWorkerFarm:
             raise ValueError(f"max_inflight must be a positive integer, got {max_inflight!r}")
         if recovery is not None and not isinstance(recovery, FarmRecoveryPolicy):
             raise TypeError(f"recovery must be a FarmRecoveryPolicy or None, got {recovery!r}")
-        self._context = default_mp_context(start_method)
+        self._context = default_mp_context()
         self._factory = factory
         self._worker_cache_size = worker_cache_size
         self._recovery = recovery

@@ -1,14 +1,15 @@
-"""Execution-runtime layer: backend registry, shared-memory store, run service.
+"""Execution-runtime layer: backend registry, shared-memory store, run scheduler.
 
 This package is the seam between the GA/statistics code and the machinery
 that actually executes fitness evaluations:
 
 * :mod:`repro.runtime.spec` — picklable evaluator recipes and dataset handles;
 * :mod:`repro.runtime.backends` — the string-keyed execution-backend registry
-  (``serial`` / ``threads`` / ``process`` / ``process-shm``);
+  (``serial`` / ``process-shm`` / ``async`` / ``remote``);
 * :mod:`repro.runtime.shm` — the one-copy shared-memory genotype store;
-* :mod:`repro.runtime.service` — the synchronous ``RunRequest -> RunResult``
-  service used by the CLI and the experiment harnesses;
+* :mod:`repro.runtime.service` — the :class:`RunScheduler` that executes
+  ``RunRequest -> RunResult`` for the CLI, the experiment harnesses, the
+  scan runner and the daemon;
 * :mod:`repro.runtime.server` / :mod:`repro.runtime.client` — the
   scan-as-a-service daemon (warm farm + cross-request result cache +
   cost-aware admission) and its socket client.
@@ -26,12 +27,7 @@ from .backends import (
     resolve_backend,
 )
 from .shm import ShardedGenotypeStore, SharedDatasetHandle, SharedGenotypeStore
-from .spec import (
-    DatasetHandle,
-    EvaluatorSpec,
-    InMemoryDatasetHandle,
-    SpecEvaluatorFactory,
-)
+from .spec import DatasetHandle, EvaluatorSpec, SpecEvaluatorFactory
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -42,7 +38,6 @@ __all__ = [
     "resolve_backend",
     "EvaluatorSpec",
     "DatasetHandle",
-    "InMemoryDatasetHandle",
     "SpecEvaluatorFactory",
     "SharedGenotypeStore",
     "SharedDatasetHandle",
@@ -50,7 +45,6 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "RunScheduler",
-    "RunService",
     "ScanServer",
     "ScanClient",
     "AdmissionPolicy",
@@ -62,7 +56,7 @@ def __getattr__(name: str):
     # Lazy re-export: service.py (and the scan-service modules built on it)
     # imports the GA core, which in turn imports this package for its default
     # backend; importing them eagerly here would create a cycle.
-    if name in ("RunRequest", "RunResult", "RunScheduler", "RunService"):
+    if name in ("RunRequest", "RunResult", "RunScheduler"):
         from . import service
 
         return getattr(service, name)

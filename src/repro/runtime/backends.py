@@ -5,38 +5,36 @@ experiment harnesses, the CLI — asks this registry for a
 :class:`~repro.parallel.base.BatchEvaluator` by *name* instead of
 hand-building one:
 
-========== ==================================================================
-name       substrate
-========== ==================================================================
-serial     in-process loop (the reference backend)
-threads    thread pool; shared arrays, per-thread evaluators, GIL-bound
-process    chunked master/slave farm; data pickled once per slave
-process-shm chunked master/slave farm; slaves attach to one shared-memory
-           copy of the genotype matrices and rebuild lightweight evaluator
-           views over it
-async      work-stealing master/slave farm: bounded per-slave in-flight
-           chunks, idle slaves refilled from the longest affinity queue,
-           completions streamed instead of barrier-joined; shared-memory
-           data when a spec + dataset is available, pickled otherwise
-remote     multi-host master/slave farm over authenticated sockets
-           (``hosts=["host:port", ...]``, one slave per entry): each
-           connection ships the 2-bit packed panel once, then only
-           haplotype chunks travel; dead connections replay like dead
-           slaves
-========== ==================================================================
+=========== =================================================================
+name        substrate
+=========== =================================================================
+serial      in-process loop (the reference backend)
+process-shm chunked master/slave farm; given a spec + dataset, slaves attach
+            to one shared-memory copy of the genotype matrices and rebuild
+            lightweight evaluator views over it; a bare fitness callable is
+            pickled once per slave instead
+async       the same farm with work stealing: bounded per-slave in-flight
+            chunks, idle slaves refilled from the longest affinity queue,
+            completions streamed instead of barrier-joined
+remote      multi-host master/slave farm over authenticated sockets
+            (``hosts=["host:port", ...]``, one slave per entry): each
+            connection ships the 2-bit packed panel once, then only
+            haplotype chunks travel; dead connections replay like dead
+            slaves
+=========== =================================================================
 
 Every farm backend keeps its chunk queues in one place, the master: the
 slaves only evaluate, as in the paper's PVM farm.
 
 A backend factory receives the normalised request — an
 :class:`~repro.runtime.spec.EvaluatorSpec` plus dataset and/or a plain
-fitness callable — and returns a live evaluator.  New substrates (sharded,
-remote) become a :func:`register_backend` call instead of a rewrite of every
-call site.
+fitness callable — and returns a live evaluator.  A new substrate becomes a
+:func:`register_backend` call instead of a rewrite of every call site.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,15 +44,9 @@ from ..parallel.farm import FarmRecoveryPolicy
 from ..parallel.master_slave import MasterSlaveEvaluator
 from ..parallel.pvm import EvaluationCostModel
 from ..parallel.serial import SerialEvaluator
-from ..parallel.threads import ThreadPoolEvaluator
 from ..stats.evaluation import HaplotypeEvaluator
 from .shm import SharedGenotypeStore
-from .spec import (
-    EvaluatorSpec,
-    InMemoryDatasetHandle,
-    PackedDatasetHandle,
-    SpecEvaluatorFactory,
-)
+from .spec import EvaluatorSpec, PackedDatasetHandle, SpecEvaluatorFactory
 
 __all__ = [
     "BackendRequest",
@@ -74,9 +66,8 @@ class BackendRequest:
     """Normalised arguments every backend factory receives.
 
     Exactly one of (``fitness``) or (``spec`` + ``dataset``) is guaranteed to
-    be usable; backends that must rebuild evaluators in another process
-    (``process-shm``) require the spec form and raise a ``TypeError``
-    otherwise.
+    be usable; the ``remote`` backend, which rebuilds evaluators on another
+    machine, requires the spec form and raises a ``TypeError`` otherwise.
     """
 
     spec: EvaluatorSpec | None
@@ -87,7 +78,6 @@ class BackendRequest:
     dedup: bool
     cache_size: int | None
     worker_cache_size: int | None
-    start_method: str | None
     cost_model: EvaluationCostModel | None = None
     recovery: FarmRecoveryPolicy | None = None
     worker_wrapper: Callable | None = None
@@ -148,7 +138,6 @@ def create_evaluator(
     dedup: bool = True,
     cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
     worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE,
-    start_method: str | None = None,
     cost_model: EvaluationCostModel | None = None,
     recovery: FarmRecoveryPolicy | None = None,
     worker_wrapper: Callable | None = None,
@@ -159,15 +148,15 @@ def create_evaluator(
 
     ``source`` may be a live :class:`HaplotypeEvaluator` (spec and dataset
     are derived from it), an :class:`EvaluatorSpec` (``dataset`` required),
-    or any fitness callable (sufficient for the in-process backends and, if
-    picklable, for ``process``).  ``cost_model`` (optional) feeds the chunked
-    farms' cost-driven auto chunking, e.g. a model the scheduler calibrated
-    on measured evaluation times.  ``recovery`` (optional) installs a
-    :class:`~repro.parallel.farm.FarmRecoveryPolicy` on the process-farm
-    backends so slave deaths and hangs are survived instead of fatal;
-    ``worker_wrapper`` (optional, fault-injection harness) wraps the worker
-    evaluator factory before it ships to the slaves.  Both are process-farm
-    features — the in-process backends reject them.
+    or any fitness callable (sufficient for ``serial`` and, if picklable, for
+    the local farms, which ship it once per slave).  ``cost_model``
+    (optional) feeds the farms' cost-driven auto chunking, e.g. a model the
+    scheduler calibrated on measured evaluation times.  ``recovery`` (optional) installs a
+    :class:`~repro.parallel.farm.FarmRecoveryPolicy` on the farm backends so
+    slave deaths and hangs are survived instead of fatal; ``worker_wrapper``
+    (optional, fault-injection harness) wraps the worker evaluator factory
+    before it ships to the slaves.  Both are farm features — ``serial``
+    rejects them.
 
     ``packed=True`` runs the whole pipeline on the 2-bit packed substrate:
     the dataset is converted to packed affected-first form
@@ -216,7 +205,6 @@ def create_evaluator(
         dedup=dedup,
         cache_size=cache_size,
         worker_cache_size=worker_cache_size,
-        start_method=start_method,
         cost_model=cost_model,
         recovery=recovery,
         worker_wrapper=worker_wrapper,
@@ -229,67 +217,28 @@ def create_evaluator(
 # --------------------------------------------------------------------- #
 # the built-in backends
 # --------------------------------------------------------------------- #
-def _require_process_farm_features_unused(request: BackendRequest, backend: str) -> None:
-    """In-process backends have no slave processes to heal or wrap."""
+def _serial_backend(request: BackendRequest) -> BatchEvaluator:
     if request.recovery is not None or request.worker_wrapper is not None:
         raise TypeError(
-            f"the {backend!r} backend runs in-process and supports neither a "
-            f"recovery policy nor a worker_wrapper; use a process-farm backend "
-            f"(process, process-shm, async)"
+            "the 'serial' backend runs in-process and supports neither a "
+            "recovery policy nor a worker_wrapper; use a farm backend "
+            "(process-shm, async)"
         )
     if request.hosts is not None:
         raise TypeError(
-            f"the {backend!r} backend runs in-process and cannot use remote "
-            f"hosts; use the 'remote' backend"
+            "the 'serial' backend runs in-process and cannot use remote "
+            "hosts; use the 'remote' backend"
         )
-
-
-def _require_local_farm(request: BackendRequest, backend: str) -> None:
-    """Local process farms cannot reach remote hosts."""
-    if request.hosts is not None:
-        raise TypeError(
-            f"the {backend!r} backend runs local slave processes and ignores "
-            f"hosts; use the 'remote' backend for multi-host dispatch"
-        )
-
-
-def _serial_backend(request: BackendRequest) -> BatchEvaluator:
-    _require_process_farm_features_unused(request, "serial")
     return SerialEvaluator(
         request.local_fitness(), dedup=request.dedup, cache_size=request.cache_size
     )
 
 
-def _threads_backend(request: BackendRequest) -> BatchEvaluator:
-    _require_process_farm_features_unused(request, "threads")
-    if request.spec is not None and request.dataset is not None:
-        # per-thread evaluators over the (naturally shared) in-process arrays
-        return ThreadPoolEvaluator(
-            evaluator_factory=SpecEvaluatorFactory(
-                request.spec, InMemoryDatasetHandle(request.dataset)
-            ),
-            n_workers=request.n_workers,
-            chunk_size=request.chunk_size,
-            dedup=request.dedup,
-            cache_size=request.cache_size,
-        )
-    return ThreadPoolEvaluator(
-        request.fitness,
-        n_workers=request.n_workers,
-        chunk_size=request.chunk_size,
-        dedup=request.dedup,
-        cache_size=request.cache_size,
-    )
-
-
 def _farm_kwargs(request: BackendRequest, *, steal: bool) -> dict:
-    """The MasterSlaveEvaluator arguments shared by every chunked-farm backend."""
+    """The MasterSlaveEvaluator arguments shared by every farm backend."""
     return dict(
-        dispatch="chunked",
-        n_workers=request.n_workers,
         chunk_size=request.chunk_size,
         worker_cache_size=request.worker_cache_size,
-        start_method=request.start_method,
         dedup=request.dedup,
         cache_size=request.cache_size,
         steal=steal,
@@ -299,50 +248,37 @@ def _farm_kwargs(request: BackendRequest, *, steal: bool) -> dict:
     )
 
 
-def _process_backend(request: BackendRequest, *, steal: bool = False) -> BatchEvaluator:
-    _require_local_farm(request, "process")
-    if request.spec is not None and request.dataset is not None:
-        factory = SpecEvaluatorFactory(request.spec, InMemoryDatasetHandle(request.dataset))
-        return MasterSlaveEvaluator(
-            evaluator_factory=factory, **_farm_kwargs(request, steal=steal)
+def _local_farm_backend(request: BackendRequest, *, steal: bool) -> BatchEvaluator:
+    """The local farm: one shared-memory panel, or a pickled bare callable.
+
+    Given a spec + dataset, slaves attach to one :class:`SharedGenotypeStore`
+    and rebuild evaluator views over it; a bare fitness callable is pickled
+    once per slave instead.  ``process-shm`` and ``async`` differ only in
+    ``steal``: stealing changes which slave evaluates a chunk, never the
+    fitness.  Requests and total answered work match too; only the
+    evaluations-vs-slave-cache-hits split can shift when repeats reach the
+    slaves (the master-side dedup/LRU normally prevents that).
+    """
+    if request.hosts is not None:
+        raise TypeError(
+            "the local farm backends run local slave processes and ignore "
+            "hosts; use the 'remote' backend for multi-host dispatch"
         )
-    return MasterSlaveEvaluator(request.fitness, **_farm_kwargs(request, steal=steal))
-
-
-def _shm_farm_backend(
-    request: BackendRequest, *, backend_name: str, steal: bool
-) -> BatchEvaluator:
-    _require_local_farm(request, backend_name)
-    spec, dataset = request.require_spec(backend_name)
-    store = SharedGenotypeStore(dataset, packed=request.packed)
+    kwargs = _farm_kwargs(request, steal=steal)
+    if request.spec is None or request.dataset is None:
+        return MasterSlaveEvaluator(request.fitness, n_workers=request.n_workers, **kwargs)
+    store = SharedGenotypeStore(request.dataset, packed=request.packed)
     try:
         evaluator = MasterSlaveEvaluator(
-            evaluator_factory=SpecEvaluatorFactory(spec, store.handle),
-            **_farm_kwargs(request, steal=steal),
+            evaluator_factory=SpecEvaluatorFactory(request.spec, store.handle),
+            n_workers=request.n_workers,
+            **kwargs,
         )
     except BaseException:
         store.release()
         raise
     evaluator.register_close_callback(store.release)
     return evaluator
-
-
-def _process_shm_backend(request: BackendRequest) -> BatchEvaluator:
-    return _shm_farm_backend(request, backend_name="process-shm", steal=False)
-
-
-def _async_backend(request: BackendRequest) -> BatchEvaluator:
-    """The work-stealing farm: shared-memory data when possible, pickled otherwise.
-
-    Synchronous calls (``evaluate_batch``) return bit-identical fitnesses to
-    the other farm backends — stealing only changes which slave evaluates a
-    chunk, never the result.  Requests and total answered work match too;
-    only the evaluations-vs-slave-cache-hits split can shift when repeats
-    reach the slaves (the master-side dedup/LRU normally prevents that).
-    """
-    if request.spec is not None and request.dataset is not None:
-        return _shm_farm_backend(request, backend_name="async", steal=True)
-    return _process_backend(request, steal=True)
 
 
 def _remote_backend(request: BackendRequest) -> BatchEvaluator:
@@ -354,27 +290,20 @@ def _remote_backend(request: BackendRequest) -> BatchEvaluator:
     is master-mediated, and the farm's recovery engine treats a dead
     connection exactly like a dead local slave.
     """
-    from .remote import RemoteSlavePool  # noqa: F401 - validates availability
-
     spec, dataset = request.require_spec("remote")
     if request.hosts is None:
         raise TypeError(
             "the 'remote' backend needs hosts=[\"host:port\", ...] naming the "
             "worker hosts (one slave per entry)"
         )
-    kwargs = _farm_kwargs(request, steal=True)
-    kwargs.pop("n_workers")  # one slave per host entry
-    kwargs.pop("start_method")  # slaves are started by their hosts
     return MasterSlaveEvaluator(
         evaluator_factory=SpecEvaluatorFactory(spec, PackedDatasetHandle(dataset)),
         hosts=request.hosts,
-        **kwargs,
+        **_farm_kwargs(request, steal=True),
     )
 
 
 register_backend("serial", _serial_backend)
-register_backend("threads", _threads_backend)
-register_backend("process", _process_backend)
-register_backend("process-shm", _process_shm_backend)
-register_backend("async", _async_backend)
+register_backend("process-shm", functools.partial(_local_farm_backend, steal=False))
+register_backend("async", functools.partial(_local_farm_backend, steal=True))
 register_backend("remote", _remote_backend)

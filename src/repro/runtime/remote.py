@@ -36,12 +36,15 @@ survivors.  Reconnects (the respawn path) go through
 an unbounded handshake, and failed reconnects back off exponentially per host
 — a flapping host is re-admitted when it answers again, not hammered.
 
-The shared key defaults to a well-known development value; set
-``REPRO_REMOTE_AUTHKEY`` on every host for anything beyond localhost.
+The shared key defaults to a well-known development value, which is only
+accepted on loopback binds: a listener on any other address refuses to start
+unless ``REPRO_REMOTE_AUTHKEY`` (or an explicit ``authkey``) sets a private
+key — set it on every host and master.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import os
 import signal
 import threading
@@ -66,6 +69,7 @@ __all__ = [
     "parse_host",
     "parse_hosts",
     "default_authkey",
+    "check_bind_authkey",
     "connect_with_timeout",
 ]
 
@@ -126,6 +130,30 @@ def default_authkey() -> bytes:
     if value:
         return value.encode("utf-8")
     return _DEFAULT_AUTHKEY
+
+
+def _is_loopback(host: str) -> bool:
+    if host.lower() == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+def check_bind_authkey(host: str, authkey: bytes) -> None:
+    """Refuse to listen beyond loopback under the publicly known default key.
+
+    Both listeners (worker hosts and the scan daemon) unpickle whatever an
+    authenticated peer sends, so the key is the only gate: with the built-in
+    default, anyone who can reach the port could run code in the process.
+    """
+    if authkey == _DEFAULT_AUTHKEY and not _is_loopback(host):
+        raise ValueError(
+            f"refusing to listen on {host!r} with the built-in default key: "
+            f"set REPRO_REMOTE_AUTHKEY to a private key (on every host and "
+            f"master), or bind to 127.0.0.1"
+        )
 
 
 def parse_host(host) -> tuple[str, int]:
@@ -260,7 +288,6 @@ def serve(
     *,
     authkey: bytes | None = None,
     max_connections: int | None = None,
-    start_method: str | None = None,
     heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
     _ready=None,
 ) -> None:
@@ -280,9 +307,11 @@ def serve(
     """
     if isinstance(bind, str):
         bind = parse_host(bind)
-    context = default_mp_context(start_method)
+    authkey = authkey or default_authkey()
+    check_bind_authkey(bind[0], authkey)
+    context = default_mp_context()
     stop = threading.Event()
-    listener = Listener(bind, authkey=authkey or default_authkey())
+    listener = Listener(bind, authkey=authkey)
     # the handler must close the listener as well as set the flag: a blocked
     # accept() is retried after a signal handler returns (PEP 475), so the
     # close is what actually wakes the loop
@@ -350,11 +379,10 @@ class LocalWorkerHost:
         *,
         authkey: bytes | None = None,
         max_connections: int | None = None,
-        start_method: str | None = None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         bind: tuple[str, int] | None = None,
     ) -> None:
-        context = default_mp_context(start_method)
+        context = default_mp_context()
         ready_recv, ready_send = context.Pipe(duplex=False)
         # not a daemon: the server forks one slave process per connection,
         # and daemonic processes may not have children
@@ -364,7 +392,6 @@ class LocalWorkerHost:
             kwargs={
                 "authkey": authkey,
                 "max_connections": max_connections,
-                "start_method": start_method,
                 "heartbeat_interval": heartbeat_interval,
                 "_ready": ready_send,
             },
@@ -668,7 +695,8 @@ def main(argv: Sequence[str] | None = None) -> None:
     parser.add_argument(
         "--bind",
         required=True,
-        help="address to listen on, e.g. 0.0.0.0:7777 (port 0 = ephemeral)",
+        help="address to listen on, e.g. 127.0.0.1:7777 (port 0 = ephemeral); "
+        "a non-loopback address needs REPRO_REMOTE_AUTHKEY set",
     )
     parser.add_argument(
         "--max-connections",

@@ -63,7 +63,7 @@ from ..scan.planner import plan_scan
 from ..scan.report import window_result_from_json, window_result_to_json
 from ..scan.runner import _window_result
 from .backends import DEFAULT_BACKEND
-from .remote import default_authkey, parse_host
+from .remote import check_bind_authkey, default_authkey, parse_host
 from .service import (
     RunRequest,
     RunScheduler,
@@ -566,6 +566,8 @@ class ScanServer:
         """Bind the socket and accept connections on a background thread.
 
         Returns the resolved listen address (port ``0`` binds ephemerally).
+        A non-loopback ``bind`` needs a private key (see
+        :func:`~repro.runtime.remote.check_bind_authkey`).
         """
         if self._closed:
             raise RuntimeError("the server has been closed")
@@ -573,6 +575,7 @@ class ScanServer:
             raise RuntimeError("the server is already listening")
         if isinstance(bind, str):
             bind = parse_host(bind)
+        check_bind_authkey(bind[0], self._authkey)
         self._listener = Listener(tuple(bind), authkey=self._authkey)
         self._address = tuple(self._listener.address)
         self._accept_thread = threading.Thread(

@@ -1,8 +1,9 @@
-"""The run layer: a persistent multi-run scheduler and the one-shot service.
+"""The run layer: a persistent multi-run scheduler.
 
-``RunRequest`` describes *what* to run (GA configuration, number of repeated
-runs, fitness statistic, optionally a locus window of the panel) and *how* to
-run it (execution backend, worker count, chunking, caching policy).
+``RunRequest`` describes *what* to run: GA configuration, number of repeated
+runs, fitness statistic, optionally a locus window of the panel.  *How* to
+run it (execution backend, worker count, chunking, caching policy) belongs
+to the scheduler that executes it.
 
 :class:`RunScheduler` is the persistent execution substrate: it builds **one**
 backend evaluator (one worker farm, one shared-memory registration, one
@@ -11,15 +12,12 @@ arbitrarily many submitted requests — exactly the jump from "one region, one
 run, one farm spin-up" to the genome-scale scan workload where hundreds of
 windowed GA runs multiplex over a single substrate.  Jobs are queued with
 :meth:`~RunScheduler.submit` and executed by :meth:`~RunScheduler.as_completed`
-(streaming results as they finish, optionally ``jobs`` runs at a time) or
-:meth:`~RunScheduler.map` (submission order).
-
-:class:`RunService` keeps its PR-2 one-shot API — ``run(request)`` builds the
-substrate, executes, tears down — but is now a thin wrapper that hands a
-single job to a request-scoped scheduler.  The CLI ``run`` command and the
-Table-2 / ablation / robustness harnesses route through these two classes, so
-backend choice, seeding, caching policy and stats reporting live in exactly
-one place.
+(streaming results as they finish, optionally ``jobs`` runs at a time),
+:meth:`~RunScheduler.map` (submission order) or, for a single request,
+:meth:`~RunScheduler.run`.  The CLI ``run`` and ``scan`` commands, the
+Table-2 / ablation / robustness harnesses and the scan daemon all route
+through it, so backend choice, seeding, caching policy and stats reporting
+live in exactly one place.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from ..core.config import GAConfig
@@ -47,7 +45,6 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "RunScheduler",
-    "RunService",
     "backend_summary_line",
     "estimate_request_cost",
 ]
@@ -146,15 +143,7 @@ class RunRequest:
     statistic: str = "t1"
     spec: EvaluatorSpec | None = None
     snp_indices: tuple[int, ...] | None = None
-    backend: str = DEFAULT_BACKEND
-    n_workers: int | None = None
-    chunk_size: int | None = None
-    dedup: bool = True
-    cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE
-    worker_cache_size: int | None = BaseBatchEvaluator.DEFAULT_CACHE_SIZE
     constraints: HaplotypeConstraints | None = None
-    packed: bool = False
-    hosts: tuple[str, ...] | None = None
 
     def resolved_spec(self) -> EvaluatorSpec:
         return self.spec if self.spec is not None else EvaluatorSpec(statistic=self.statistic)
@@ -270,8 +259,7 @@ class RunScheduler:
     job per locus window of a genome-scale scan — pay one farm spin-up and
     share the master-side fitness cache and the slaves' content-affinity
     caches.  Execution policy (backend, worker count, chunking, caching)
-    lives on the scheduler; a submitted request's own execution fields are
-    ignored (only the one-shot :class:`RunService` honours them).
+    lives on the scheduler; a request only says what to run.
 
     Parameters
     ----------
@@ -304,7 +292,7 @@ class RunScheduler:
         order changes.  ``jobs == 1`` always drains in submission order.
     recovery:
         Optional :class:`~repro.parallel.farm.FarmRecoveryPolicy` for the
-        process-farm backends: the substrate survives slave deaths and hangs
+        farm backends: the substrate survives slave deaths and hangs
         (lost chunks replayed bit-identically on survivors, optional
         respawns) and keeps draining on a shrunken farm.  The recovery events
         each job survived appear in its :class:`RunResult` stats
@@ -706,63 +694,3 @@ class RunScheduler:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class RunService:
-    """Execute :class:`RunRequest` objects against one dataset, one at a time.
-
-    The one-shot front door: each ``run`` builds a request-scoped
-    :class:`RunScheduler` (workers started once, shared by every run of the
-    request, and always released — the farm cannot leak), submits the single
-    job and tears the substrate down.  Long-lived multi-request workloads
-    (genome scans, request queues) should hold a :class:`RunScheduler`
-    directly and keep the substrate warm.
-    """
-
-    def __init__(self, dataset: GenotypeDataset) -> None:
-        self._dataset = dataset
-        self._local_evaluators: dict[EvaluatorSpec, HaplotypeEvaluator] = {}
-
-    @property
-    def dataset(self) -> GenotypeDataset:
-        return self._dataset
-
-    def local_evaluator(self, request: RunRequest) -> HaplotypeEvaluator:
-        """A master-side in-process evaluator matching the request's spec.
-
-        Memoised per spec, so repeated requests (e.g. one per ablation
-        scheme) share the evaluator's internal reuse caches exactly like the
-        pre-service harnesses did.
-        """
-        spec = request.resolved_spec()
-        evaluator = self._local_evaluators.get(spec)
-        if evaluator is None:
-            evaluator = spec.build(self._dataset)
-            self._local_evaluators[spec] = evaluator
-        return evaluator
-
-    def run(self, request: RunRequest) -> RunResult:
-        if request.n_runs < 1:
-            raise ValueError("n_runs must be positive")
-        start = time.perf_counter()
-        # the in-process backends wrap the memoised local evaluator (shared
-        # reuse caches across requests); the process backends derive their
-        # worker-side spec from it
-        scheduler = RunScheduler(
-            self._dataset,
-            source=self.local_evaluator(request),
-            backend=request.backend,
-            n_workers=request.n_workers,
-            chunk_size=request.chunk_size,
-            dedup=request.dedup,
-            cache_size=request.cache_size,
-            worker_cache_size=request.worker_cache_size,
-            packed=request.packed,
-            hosts=request.hosts,
-        )
-        try:
-            result = scheduler.run(request)
-        finally:
-            scheduler.close()
-        # account the substrate spin-up/teardown to the request, as before
-        return replace(result, elapsed_seconds=time.perf_counter() - start)

@@ -1,4 +1,4 @@
-"""Shared-memory genotype store for the ``process-shm`` backend.
+"""Shared-memory genotype store for the local farm backends (``process-shm``, ``async``).
 
 Second-generation PLINK attributes much of its scaling to keeping **one**
 in-memory copy of the genotype matrix that every computation unit reads.
@@ -29,14 +29,11 @@ fourth state) — shrinking the segment ~4×::
 
 Workers then rebuild *packed-native* datasets whose affected/unaffected
 groups are bit-offset views of the shared packed bytes, and phase expansions
-are counted straight from the packed columns.  A handle can opt out with
-``unpack_on_attach=True``, rebuilding a plain byte-matrix dataset on attach
-(one private unpacked copy per worker, byte-path kernels).
+are counted straight from the packed columns.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
@@ -96,7 +93,6 @@ class SharedDatasetHandle:
     individual_ids: tuple[str, ...]
     column_window: tuple[int, int] | None = None
     packed: bool = False
-    unpack_on_attach: bool = False
     _segments: list = field(default_factory=list, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
@@ -148,26 +144,13 @@ class SharedDatasetHandle:
             start, stop = self.column_window
             data = data[start:stop]  # SNP-major: a column window is a row slice
             snp_names = snp_names[start:stop]
-        panel = PackedPanel(data, n)
-        if self.unpack_on_attach:
-            # private byte copy, byte-path kernels (opt-out escape hatch)
-            return GenotypeDataset(
-                panel.unpack(),
-                status,
-                snp_names=snp_names,
-                individual_ids=self.individual_ids,
-            )
         return GenotypeDataset(
             None,
             status,
             snp_names=snp_names,
             individual_ids=self.individual_ids,
-            packed=panel,
+            packed=PackedPanel(data, n),
         )
-
-    def with_unpack_on_attach(self, flag: bool = True) -> "SharedDatasetHandle":
-        """This handle with the attach-time unpack behaviour toggled."""
-        return dataclasses.replace(self, unpack_on_attach=bool(flag), _segments=[])
 
     def window(self, start: int, stop: int) -> "SharedDatasetHandle":
         """A handle onto the same segment restricted to columns ``[start, stop)``.
@@ -185,7 +168,6 @@ class SharedDatasetHandle:
             individual_ids=self.individual_ids,
             column_window=(int(start), int(stop)),
             packed=self.packed,
-            unpack_on_attach=self.unpack_on_attach,
         )
 
     def detach(self) -> None:
@@ -215,13 +197,7 @@ class SharedGenotypeStore:
     as a context manager).
     """
 
-    def __init__(
-        self,
-        dataset: GenotypeDataset,
-        *,
-        packed: bool = False,
-        unpack_on_attach: bool = False,
-    ) -> None:
+    def __init__(self, dataset: GenotypeDataset, *, packed: bool = False) -> None:
         order = np.concatenate(
             [np.flatnonzero(dataset.affected_mask), np.flatnonzero(dataset.unaffected_mask)]
         )
@@ -255,7 +231,6 @@ class SharedGenotypeStore:
             snp_names=tuple(dataset.snp_names),
             individual_ids=tuple(dataset.individual_ids[i] for i in order),
             packed=bool(packed),
-            unpack_on_attach=bool(packed and unpack_on_attach),
         )
 
     @staticmethod
@@ -345,15 +320,12 @@ class ShardedGenotypeStore:
         plan: WindowPlan | None = None,
         *,
         packed: bool = False,
-        unpack_on_attach: bool = False,
     ) -> None:
         if plan is not None and plan.n_snps != dataset.n_snps:
             raise ValueError(
                 f"plan covers {plan.n_snps} SNPs but the dataset has {dataset.n_snps}"
             )
-        self._store = SharedGenotypeStore(
-            dataset, packed=packed, unpack_on_attach=unpack_on_attach
-        )
+        self._store = SharedGenotypeStore(dataset, packed=packed)
         self._plan = plan
         self._window_handles: dict[tuple[int, int], SharedDatasetHandle] = {}
 

@@ -4,9 +4,10 @@ The execution-backend layer never ships live
 :class:`~repro.stats.evaluation.HaplotypeEvaluator` objects around by
 default.  Instead it passes a small, picklable :class:`EvaluatorSpec`
 (statistic + EM/CLUMP/caching parameters) together with a
-:class:`DatasetHandle` describing *where the genotype data lives* — embedded
-in the message (:class:`InMemoryDatasetHandle`) or in a shared-memory segment
-(:class:`~repro.runtime.shm.SharedDatasetHandle`).  Every worker combines the
+:class:`DatasetHandle` describing *where the genotype data lives* — in a
+shared-memory segment (:class:`~repro.runtime.shm.SharedDatasetHandle`, the
+local farms) or embedded in the message as the 2-bit packed panel
+(:class:`PackedDatasetHandle`, the ``remote`` backend).  Every worker combines the
 two once at start-up and keeps the resulting evaluator for its lifetime,
 which is exactly the paper's "the slaves are initiated at the beginning and
 access only once to the data".
@@ -27,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (service imports spec)
 __all__ = [
     "EvaluatorSpec",
     "DatasetHandle",
-    "InMemoryDatasetHandle",
     "PackedDatasetHandle",
     "SpecEvaluatorFactory",
     "ClientHello",
@@ -46,16 +46,6 @@ class DatasetHandle(Protocol):
     def load(self) -> GenotypeDataset:
         """Materialise (or attach to) the dataset; called once per worker."""
         ...
-
-
-@dataclass(frozen=True)
-class InMemoryDatasetHandle:
-    """The trivial handle: the dataset itself travels with the message."""
-
-    dataset: GenotypeDataset
-
-    def load(self) -> GenotypeDataset:
-        return self.dataset
 
 
 @dataclass(frozen=True)
@@ -185,8 +175,7 @@ class ScanEnvelope:
 class RunEnvelope:
     """One direct GA run: a :class:`~repro.runtime.service.RunRequest`.
 
-    The request's own execution fields (backend, workers, hosts, ...) are
-    ignored — the daemon's warm substrate executes it; only the evaluator
+    The daemon's warm substrate executes it; the request's evaluator
     spec/statistic must match the server's.
     """
 
@@ -216,9 +205,9 @@ class ShutdownCommand:
 class SpecEvaluatorFactory:
     """Picklable worker-side factory: ``handle.load()`` + ``spec.build()``.
 
-    Instances are shipped to worker processes (or shared with worker threads)
-    and called exactly once each; the handle decides whether the data is
-    embedded, re-read or attached from shared memory.
+    Instances are shipped to worker processes and called exactly once each;
+    the handle decides whether the data is embedded or attached from shared
+    memory.
     """
 
     spec: EvaluatorSpec

@@ -32,9 +32,10 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["run", "--backend", "process-shm", "--chunk-size", "8"])
         assert args.backend == "process-shm" and args.chunk_size == 8
-        args = parser.parse_args(["speedup", "--measured", "--backend", "threads",
+        args = parser.parse_args(["speedup", "--measured", "--backend", "async",
                                   "--chunk-size", "4"])
-        assert args.backend == "threads" and args.chunk_size == 4
+        assert args.backend == "async" and args.chunk_size == 4
+        assert parser.parse_args(["speedup"]).backend == "process-shm"
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--backend", "carrier-pigeon"])
 
@@ -96,12 +97,12 @@ class TestCommands:
               "--n-affected", "12", "--n-unaffected", "12", "--seed", "9"])
         capsys.readouterr()
         assert main([
-            "run", str(study_dir), "--backend", "threads", "--workers", "2",
+            "run", str(study_dir), "--backend", "async", "--workers", "2",
             "--population-size", "10", "--max-size", "3",
             "--stagnation", "2", "--max-generations", "3", "--seed", "1",
         ]) == 0
         out = capsys.readouterr().out
-        assert "evaluation backend: threads" in out
+        assert "evaluation backend: async" in out
 
     @pytest.mark.slow
     def test_run_with_process_shm_backend(self, tmp_path, capsys):
@@ -122,7 +123,7 @@ class TestCommands:
         main(["simulate", str(study_dir), "--n-snps", "10",
               "--n-affected", "12", "--n-unaffected", "12", "--seed", "9"])
         capsys.readouterr()
-        assert main(["run", str(study_dir), "--backend", "threads",
+        assert main(["run", str(study_dir), "--backend", "async",
                      "--hosts", "localhost:7777"]) == 2
         assert "remote" in capsys.readouterr().err
         assert main(["run", str(study_dir), "--backend", "remote"]) == 2

@@ -2,6 +2,7 @@
 backbone the work-stealing dispatch path must preserve."""
 
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -9,18 +10,18 @@ from repro.parallel.base import EvaluationStats
 
 
 def _filled(scale: int = 1) -> EvaluationStats:
+    """Every field set, each to a distinct value of its own type."""
     return EvaluationStats(
-        n_evaluations=3 * scale,
-        n_requests=10 * scale,
-        n_batches=2 * scale,
-        n_dedup_hits=4 * scale,
-        n_cache_hits=3 * scale,
-        total_seconds=0.5 * scale,
-        backend_seconds=0.25 * scale,
-        n_worker_deaths=1 * scale,
-        n_chunks_replayed=2 * scale,
-        n_worker_respawns=1 * scale,
+        **{
+            field.name: type(field.default)(index * scale)
+            for index, field in enumerate(fields(EvaluationStats), start=1)
+        }
     )
+
+
+def test_filled_sets_every_field_to_a_distinct_value():
+    values = [getattr(_filled(), field.name) for field in fields(EvaluationStats)]
+    assert len(set(values)) == len(values) and 0 not in values
 
 
 class TestMerge:

@@ -295,5 +295,5 @@ class TestSchedulerRecovery:
             )
         with pytest.raises(TypeError, match="recovery"):
             RunScheduler(
-                small_dataset, backend="threads", recovery=FarmRecoveryPolicy()
+                small_dataset, backend="serial", recovery=FarmRecoveryPolicy()
             )

@@ -9,6 +9,7 @@ connection exactly like a dead local slave.
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -16,11 +17,15 @@ from repro.core.config import GAConfig
 from repro.experiments.datasets import lille51
 from repro.parallel.farm import FarmDeadError, FarmRecoveryPolicy
 from repro.runtime.backends import backend_names, create_evaluator
+from repro.runtime import remote
 from repro.runtime.remote import (
     LocalWorkerHost,
     RemoteSlavePool,
+    check_bind_authkey,
+    default_authkey,
     parse_host,
     parse_hosts,
+    serve,
 )
 from repro.runtime.service import RunRequest, RunScheduler
 from repro.runtime.spec import EvaluatorSpec, PackedDatasetHandle
@@ -65,6 +70,71 @@ class TestHostParsing:
     def test_parse_hosts_requires_one(self):
         with pytest.raises(ValueError, match="at least one"):
             parse_hosts([])
+
+
+class TestBindSafety:
+    """No listener unpickles traffic beyond loopback under the public key."""
+
+    @pytest.fixture
+    def default_key(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY", raising=False)
+        return default_authkey()
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost", "LOCALHOST", "::1", "127.8.0.1"])
+    def test_loopback_accepts_the_default_key(self, default_key, host):
+        check_bind_authkey(host, default_key)
+
+    @pytest.mark.parametrize("host", ["0.0.0.0", "", "::", "10.0.0.7", "node7"])
+    def test_public_bind_refuses_the_default_key(self, default_key, host):
+        with pytest.raises(ValueError, match="REPRO_REMOTE_AUTHKEY"):
+            check_bind_authkey(host, default_key)
+        check_bind_authkey(host, b"a private key")
+
+    def test_worker_host_refuses_before_listening(self, default_key, monkeypatch):
+        listened = []
+        monkeypatch.setattr(remote, "Listener", lambda *a, **k: listened.append(a))
+        with pytest.raises(ValueError, match="REPRO_REMOTE_AUTHKEY"):
+            serve(("0.0.0.0", 0), max_connections=0)
+        assert listened == []
+
+    @staticmethod
+    def _serve_in_thread(**kwargs):
+        # off the main thread serve() installs no signal handlers; with
+        # max_connections=0 it binds, then returns without accepting
+        errors = []
+
+        def target():
+            try:
+                serve(("0.0.0.0", 0), max_connections=0, **kwargs)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=target)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        return errors
+
+    def test_worker_host_binds_with_a_private_key(self, monkeypatch):
+        monkeypatch.setenv("REPRO_REMOTE_AUTHKEY", "a private key")
+        assert self._serve_in_thread() == []
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY")
+        assert self._serve_in_thread(authkey=b"another private key") == []
+
+    def test_scan_server_refuses_then_binds_with_a_private_key(
+        self, default_key, monkeypatch, small_dataset
+    ):
+        from repro.runtime.server import ScanServer
+
+        with ScanServer(small_dataset) as server:
+            with pytest.raises(ValueError, match="REPRO_REMOTE_AUTHKEY"):
+                server.start(("0.0.0.0", 0))
+        monkeypatch.setenv("REPRO_REMOTE_AUTHKEY", "a private key")
+        with ScanServer(small_dataset) as server:
+            assert server.start(("0.0.0.0", 0))[1] > 0
+        monkeypatch.delenv("REPRO_REMOTE_AUTHKEY")
+        with ScanServer(small_dataset, authkey=b"another private key") as server:
+            assert server.start(("0.0.0.0", 0))[1] > 0
 
 
 class TestRemoteSlavePool:
@@ -185,7 +255,7 @@ class TestRemoteBackend:
                 "remote", _linear_fitness, hosts=[worker_host.host]
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "process", "async"])
+    @pytest.mark.parametrize("backend", ["serial", "process-shm", "async"])
     def test_local_backends_reject_hosts(self, backend):
         dataset = lille51().dataset
         with pytest.raises(TypeError, match="hosts|remote"):

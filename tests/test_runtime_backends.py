@@ -24,7 +24,7 @@ def _generation_batches():
 
 class TestRegistry:
     def test_all_four_backends_registered(self):
-        assert set(backend_names()) >= {"serial", "threads", "process", "process-shm"}
+        assert backend_names() == ("async", "process-shm", "remote", "serial")
 
     def test_unknown_backend_lists_alternatives(self):
         with pytest.raises(KeyError, match="serial"):
@@ -43,10 +43,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             create_evaluator("serial", EvaluatorSpec())
 
-    def test_process_shm_rejects_bare_callable(self):
-        with pytest.raises(TypeError, match="process-shm"):
-            create_evaluator("process-shm", lambda snps: 0.0)
-
     def test_invalid_source_type(self):
         with pytest.raises(TypeError):
             create_evaluator("serial", 42)
@@ -63,7 +59,8 @@ class TestBackendParity:
         values = (evaluator.evaluate_batch(first), evaluator.evaluate_batch(second))
         return values, evaluator.stats.counters()
 
-    @pytest.mark.parametrize("backend", ["threads", "process", "process-shm"])
+    # every registered local backend; remote parity lives in test_remote.py
+    @pytest.mark.parametrize("backend", [b for b in backend_names() if b != "remote"])
     def test_matches_serial(self, backend, small_evaluator, reference):
         (first_ref, second_ref), counters_ref = reference
         first, second = _generation_batches()
@@ -82,7 +79,7 @@ class TestBackendParity:
         serial.evaluate_batch(first)
         serial.evaluate_batch(second)
         chunked = create_evaluator(
-            "process", small_evaluator, n_workers=2, chunk_size=2
+            "process-shm", small_evaluator, n_workers=2, chunk_size=2
         )
         try:
             chunked.evaluate_batch(first)
@@ -92,15 +89,18 @@ class TestBackendParity:
         finally:
             chunked.close()
 
-    def test_callable_source_on_process_backend(self):
+    @pytest.mark.parametrize("backend", ["process-shm", "async"])
+    def test_bare_callable_matches_serial(self, backend):
+        """Without a spec + dataset the local farms pickle the callable once
+        per slave; values and counters still match the serial path."""
         batch = [(0, 1), (2,), (0, 1), (3, 4)]
         serial = SerialEvaluator(_product_fitness)
         expected = serial.evaluate_batch(batch)
-        evaluator = create_evaluator("process", _product_fitness, n_workers=2)
+        evaluator = create_evaluator(backend, _product_fitness, n_workers=2)
         try:
             assert isinstance(evaluator, MasterSlaveEvaluator)
-            assert evaluator.dispatch == "chunked"
-            assert evaluator.evaluate_batch(batch) == pytest.approx(expected)
+            assert evaluator.evaluate_batch(batch) == expected
+            assert evaluator.stats.counters() == serial.stats.counters()
         finally:
             evaluator.close()
 

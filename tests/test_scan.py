@@ -224,7 +224,7 @@ class TestScanRunner:
 
     def test_scan_matches_per_window_ga_on_views(self, small_dataset, scan_config):
         """A window's scan result equals a standalone GA on the window view."""
-        from repro.runtime.service import RunRequest, RunService
+        from repro.runtime.service import RunRequest, RunScheduler
 
         report = run_scan(
             small_dataset, window_size=6, overlap=3, config=scan_config, seed=11
@@ -234,12 +234,13 @@ class TestScanRunner:
             small_dataset.n_snps, window_size=6, overlap=3,
             config=scan_config, seed=11,
         )
-        standalone = RunService(small_dataset.window(window.start, window.stop)).run(
-            RunRequest(
-                config=plan.window_config(window),
-                seed=window_seed(11, window.index),
+        with RunScheduler(small_dataset.window(window.start, window.stop)) as view:
+            standalone = view.run(
+                RunRequest(
+                    config=plan.window_config(window),
+                    seed=window_seed(11, window.index),
+                )
             )
-        )
         expected = {
             size: (window.to_global(ind.snps), ind.fitness_value())
             for size, ind in standalone.best_per_size().items()

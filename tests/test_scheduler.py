@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import GAConfig
-from repro.runtime.service import RunRequest, RunScheduler, RunService
+from repro.runtime.service import RunRequest, RunScheduler
 from repro.runtime.spec import EvaluatorSpec
 
 
@@ -68,12 +68,15 @@ class TestRunScheduler:
         )
 
     def test_matches_standalone_service(self, small_dataset, quick_config):
+        """A job queued behind others on a warm substrate equals the same
+        request run alone on a fresh one-request scheduler."""
         request = RunRequest(config=quick_config, seed=7)
-        standalone = RunService(small_dataset).run(request)
         with RunScheduler(small_dataset) as scheduler:
-            scheduled = scheduler.run(request)
+            standalone = scheduler.run(request)
+        with RunScheduler(small_dataset) as scheduler:
+            scheduled = scheduler.map(_requests(quick_config, 2) + [request])[-1]
         assert _result_key(standalone) == _result_key(scheduled)
-        assert standalone.stats.counters() == scheduled.stats.counters()
+        assert standalone.stats.n_requests == scheduled.stats.n_requests
 
     def test_per_job_stats_are_scoped(self, small_dataset, quick_config):
         with RunScheduler(small_dataset) as scheduler:
@@ -96,8 +99,8 @@ class TestRunScheduler:
         )
         with RunScheduler(small_dataset) as scheduler:
             windowed = scheduler.run(request)
-        view_service = RunService(small_dataset.window(*window))
-        on_view = view_service.run(RunRequest(config=quick_config, seed=5))
+        with RunScheduler(small_dataset.window(*window)) as view_scheduler:
+            on_view = view_scheduler.run(RunRequest(config=quick_config, seed=5))
         assert _result_key(windowed) == _result_key(on_view)
 
     def test_spec_mismatch_rejected(self, small_dataset, quick_config):
@@ -111,9 +114,8 @@ class TestRunScheduler:
 
     def test_spec_comparison_is_normalised(self, small_dataset, quick_config):
         """'T1' vs 't1' (the evaluator lower-cases) must not be a mismatch."""
-        result = RunService(small_dataset).run(
-            RunRequest(config=quick_config, seed=1, statistic="T1")
-        )
+        with RunScheduler(small_dataset, statistic="T1") as scheduler:
+            result = scheduler.run(RunRequest(config=quick_config, seed=1))
         assert result.runs
         with RunScheduler(small_dataset, statistic="t1") as scheduler:
             scheduler.submit(RunRequest(config=quick_config, statistic="T1"))

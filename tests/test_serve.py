@@ -38,7 +38,7 @@ from repro.runtime.server import (
     WindowResultCache,
     config_digest,
 )
-from repro.runtime.service import RunRequest, RunService
+from repro.runtime.service import RunRequest, RunScheduler
 from repro.scan import run_scan
 
 WINDOW_SIZE = 6
@@ -309,7 +309,8 @@ class TestScanService:
 
     def test_run_envelope_matches_the_in_process_run(self, small_dataset):
         request = RunRequest(config=SCAN_CONFIG, seed=5)
-        reference = RunService(small_dataset).run(request)
+        with RunScheduler(small_dataset) as scheduler:
+            reference = scheduler.run(request)
         with _serve(small_dataset) as server:
             with ScanClient(server.address, client_id="runner") as client:
                 served = client.run(request)

@@ -67,7 +67,7 @@ class TestCloseIdempotency:
     def test_double_close_on_process_backend(self):
         ga = SimpleGA(
             _toy_fitness, n_snps=10, size=2, population_size=8,
-            backend="process", backend_options={"n_workers": 2},
+            backend="process-shm", backend_options={"n_workers": 2},
         )
         with ga:
             ga.run(n_generations=2, seed=0)

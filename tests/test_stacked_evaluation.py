@@ -21,7 +21,6 @@ from repro.parallel.farm import cost_balanced_chunks
 from repro.parallel.master_slave import MasterSlaveEvaluator
 from repro.parallel.pvm import EvaluationCostModel
 from repro.parallel.serial import SerialEvaluator
-from repro.parallel.threads import ThreadPoolEvaluator
 from repro.runtime.service import backend_summary_line
 from repro.stats.ehdiall import ehdiall_batch, ehdiall_from_expansion
 from repro.stats.em import expand_phases
@@ -217,24 +216,11 @@ class TestBatchedRouting:
         assert stacked_calls == stacked_problems == 0
         assert len(calls) == 2
 
-    def test_threads_backend_parity_and_counters(self, small_dataset, batch):
-        reference = SerialEvaluator(HaplotypeEvaluator(small_dataset)).evaluate_batch(batch)
-        pool = ThreadPoolEvaluator(
-            evaluator_factory=lambda: HaplotypeEvaluator(small_dataset),
-            n_workers=2,
-        )
-        try:
-            assert pool.evaluate_batch(batch) == reference
-            assert pool.stats.n_stacked_em >= 1
-            assert pool.stats.n_stacked_problems >= 2
-        finally:
-            pool.close()
-
     def test_farm_backend_parity_and_counters(self, small_dataset, batch):
         serial = SerialEvaluator(HaplotypeEvaluator(small_dataset))
         reference = serial.evaluate_batch(batch)
         with MasterSlaveEvaluator(
-            HaplotypeEvaluator(small_dataset), n_workers=2, dispatch="chunked"
+            HaplotypeEvaluator(small_dataset), n_workers=2
         ) as farm:
             assert farm.evaluate_batch(batch) == reference
             assert farm.stats.counters() == serial.stats.counters()
@@ -246,7 +232,6 @@ class TestBatchedRouting:
         with MasterSlaveEvaluator(
             HaplotypeEvaluator(small_dataset),
             n_workers=2,
-            dispatch="chunked",
             steal=True,
             cost_model=EvaluationCostModel(),
         ) as farm:
@@ -281,7 +266,6 @@ class TestCostBalancedChunks:
         with MasterSlaveEvaluator(
             HaplotypeEvaluator(small_dataset),
             n_workers=2,
-            dispatch="chunked",
             chunk_size=3,
         ) as farm:
             reference = SerialEvaluator(HaplotypeEvaluator(small_dataset)).evaluate_batch(batch)
